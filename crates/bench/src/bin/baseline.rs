@@ -12,7 +12,11 @@
 //! repeated 1% deltas (½% deletes + ½% inserts) and each `session.apply` +
 //! cached re-audit is timed against a from-scratch publish + audit of the
 //! identical final table, with both sides verified bit-identical before
-//! any number is recorded.
+//! any number is recorded. Its `hub_chain` lane times a hub
+//! `audit_against(b′)` after each delta — the `Adv(b′)` version chain,
+//! which refreshes the previous version's model and carries its audit memo
+//! — against re-estimating `Adv(b′)` from scratch and auditing cold, again
+//! verified bit-identical.
 //!
 //! ```text
 //! cargo run --release -p bgkanon-bench --bin baseline -- --incremental
@@ -33,7 +37,7 @@
 //!
 //! `--concurrent` switches to the **multi-tenant serving** benchmark,
 //! written to `BENCH_concurrent.json`: N tenants × M reader/writer threads
-//! through a [`SessionHub`](bgkanon::SessionHub) (writers applying scripted
+//! through a [`SessionHub`] (writers applying scripted
 //! churn deltas, readers serving audit requests through the hub's shared
 //! stamp caches) against the serial one-session loop — one thread, serial
 //! reference engines, a fresh audit per release. Every tenant's final
@@ -46,7 +50,7 @@
 //! ```
 //!
 //! `--recovery` switches to the **durable cold-start** benchmark, written
-//! to `BENCH_recovery.json`: durable [`SessionHub`](bgkanon::SessionHub)s
+//! to `BENCH_recovery.json`: durable [`SessionHub`]s
 //! absorb scripted churn, are dropped, and re-opened cold — timing
 //! `SessionHub::open` under WAL-only replay vs checkpoint + WAL-tail
 //! resume across tenant-count × WAL-length size points. Every re-opened
@@ -125,9 +129,9 @@ use std::time::Instant;
 
 use bgkanon::data::{adult, Delta, DeltaBuilder, Layout, Parallelism, Table};
 use bgkanon::knowledge::{Adversary, Bandwidth, FoldedTable, PriorEstimator, PriorModel};
-use bgkanon::privacy::Auditor;
+use bgkanon::privacy::{Auditor, SharedAuditSession};
 use bgkanon::stats::SmoothedJs;
-use bgkanon::{Algorithm, Publisher};
+use bgkanon::{Algorithm, Publisher, SessionHub};
 use bgkanon_bench::report::Report;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -542,8 +546,96 @@ fn run_incremental(rows: usize, reps: usize, workload: Workload) -> IncrementalR
     }
 }
 
+/// One measured release of the `hub_chain` lane.
+struct ChainStep {
+    chained_ms: f64,
+    reestimated_ms: f64,
+}
+
+/// `hub_chain` results for one table size and workload.
+struct ChainResult {
+    rows: usize,
+    workload: Workload,
+    groups: usize,
+    steps: Vec<ChainStep>,
+}
+
+impl ChainResult {
+    fn mean(&self, f: impl Fn(&ChainStep) -> f64) -> f64 {
+        self.steps.iter().map(f).sum::<f64>() / self.steps.len() as f64
+    }
+
+    /// Speedup of the mean chained audit over the mean re-estimated one.
+    fn speedup_mean(&self) -> f64 {
+        self.mean(|s| s.reestimated_ms) / self.mean(|s| s.chained_ms)
+    }
+}
+
+/// The `hub_chain` lane: one hub tenant absorbs `reps` 1% deltas, and after
+/// each the first `audit_against(b′)` of the new version is timed — the
+/// hub's `Adv(b′)` version chain (refresh the previous version's model to
+/// the new fold, carry its audit memo) — against what a chain miss costs:
+/// fold the new table, estimate `Adv(b′)` from scratch and audit it through
+/// a cold shared session. Both reports are verified bit-identical before
+/// any timing is recorded.
+fn run_hub_chain(rows: usize, reps: usize, workload: Workload) -> ChainResult {
+    let table = adult::generate(rows, SEED);
+    let hub: SessionHub = SessionHub::new();
+    hub.register("chain", &table, &Publisher::new().k_anonymity(K))
+        .expect("satisfiable");
+    // Version 0's audit builds the chain base.
+    hub.audit_against("chain", B_PRIME, THRESHOLD)
+        .expect("registered tenant");
+    let delta_half = (rows / 200).max(1);
+    let mut rng = SmallRng::seed_from_u64(SEED ^ 0xc4a1_5eed);
+    let mut steps = Vec::with_capacity(reps);
+    for rep in 0..reps {
+        let current = hub.snapshot("chain").expect("registered tenant");
+        let delta = workload_delta(
+            current.table(),
+            &mut rng,
+            workload,
+            delta_half,
+            SEED + 2000 + rep as u64,
+        );
+        let snapshot = hub.apply("chain", &delta).expect("satisfiable delta");
+        let (chained, chained_ms) = time_ms(|| {
+            hub.audit_against("chain", B_PRIME, THRESHOLD)
+                .expect("registered tenant")
+        });
+        let (fresh, reestimated_ms) = time_ms(|| {
+            let table = snapshot.table();
+            let bandwidth =
+                Bandwidth::uniform(B_PRIME, table.qi_count()).expect("positive bandwidth");
+            let model = PriorEstimator::new(Arc::clone(table.schema()), bandwidth.clone())
+                .estimate_folded(FoldedTable::new(table), Parallelism::Auto);
+            let adversary = Adversary::from_model("Adv(b')", bandwidth, Arc::new(model));
+            let measure = SmoothedJs::paper_default(table.schema().sensitive_distance());
+            let auditor = Auditor::new(Arc::new(adversary), Arc::new(measure));
+            snapshot.audit_cached(&SharedAuditSession::new(auditor), THRESHOLD)
+        });
+        for (row, (a, b)) in chained.risks.iter().zip(&fresh.risks).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "chained risk drift at row {row}");
+        }
+        steps.push(ChainStep {
+            chained_ms,
+            reestimated_ms,
+        });
+    }
+    ChainResult {
+        rows,
+        workload,
+        groups: hub
+            .snapshot("chain")
+            .expect("registered tenant")
+            .group_count(),
+        steps,
+    }
+}
+
 fn incremental_json(
     results: &[IncrementalResult],
+    chains: &[ChainResult],
     threads: usize,
     smoke: bool,
     reps: usize,
@@ -583,6 +675,22 @@ fn incremental_json(
             r.speedup_mean(),
             r.speedup_best(),
             if i + 1 < results.len() { "," } else { "" },
+        ));
+    }
+    out.push_str("  ],\n");
+    out.push_str("  \"hub_chain\": [\n");
+    for (i, c) in chains.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"rows\": {}, \"workload\": \"{}\", \"groups\": {}, \
+             \"chained_ms_mean\": {:.3}, \"reestimated_ms_mean\": {:.3}, \
+             \"speedup_mean\": {:.3}, \"identical_output\": true}}{}\n",
+            c.rows,
+            c.workload.name(),
+            c.groups,
+            c.mean(|s| s.chained_ms),
+            c.mean(|s| s.reestimated_ms),
+            c.speedup_mean(),
+            if i + 1 < chains.len() { "," } else { "" },
         ));
     }
     out.push_str("  ]\n}\n");
@@ -1222,7 +1330,35 @@ fn run_incremental_mode(sizes: &[usize], reps: usize, out_path: &str, smoke: boo
     ));
     println!("{}", report.render());
 
-    let payload = incremental_json(&results, threads, smoke, reps);
+    let mut chain_report = Report::new(
+        "Hub Adv(b') chain: first audit_against of each new version, chained vs re-estimated",
+        &["groups", "chained", "re-estimated", "speedup"],
+    );
+    let mut chains = Vec::new();
+    for &rows in sizes {
+        for workload in [Workload::Clustered, Workload::Scattered] {
+            let c = run_hub_chain(rows, reps, workload);
+            chain_report.row(
+                &format!("{rows} rows, {}", workload.name()),
+                vec![
+                    format!("{}", c.groups),
+                    format!("{:.2}ms", c.mean(|s| s.chained_ms)),
+                    format!("{:.2}ms", c.mean(|s| s.reestimated_ms)),
+                    format!("{:.2}x", c.speedup_mean()),
+                ],
+            );
+            chains.push(c);
+        }
+    }
+    chain_report.note(&format!(
+        "{threads} worker thread(s); {reps} delta(s) per size/workload; chained = the hub \
+         refreshing the previous version's Adv({B_PRIME}) model and carrying its audit memo, \
+         re-estimated = fold + estimate + cold audit of the same version; both reports verified \
+         bit-identical before timing is recorded"
+    ));
+    println!("{}", chain_report.render());
+
+    let payload = incremental_json(&results, &chains, threads, smoke, reps);
     let mut file = std::fs::File::create(out_path).expect("create incremental json");
     file.write_all(payload.as_bytes())
         .expect("write incremental json");
@@ -1238,7 +1374,7 @@ struct TenantVerdict {
 }
 
 /// The concurrent serving benchmark: N tenants × M reader/writer threads
-/// through a [`SessionHub`](bgkanon::SessionHub), against the **serial one-session loop** — one
+/// through a [`SessionHub`], against the **serial one-session loop** — one
 /// thread processing every tenant sequentially through the single-owner
 /// session engine with the serial reference engines and a fresh (uncached)
 /// audit per release, the pre-hub way of serving the same workload. Both

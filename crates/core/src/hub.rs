@@ -47,11 +47,22 @@
 //!   through [`crate::recover`] — eviction is never observable in results
 //!   (`tests/tests/fleet.rs` proptest), only in latency. Hubs without a
 //!   durable form trim audit caches instead of demoting.
-//! * **Content-hash interning** — hub-estimated `Adv(b′)` adversaries are
+//! * **Content-hash interning** — hub-built `Adv(b′)` adversaries are
 //!   interned by FNV content hash of their provenance (folded table +
 //!   bandwidth + kernel family), so a fleet of tenants serving the same
 //!   background knowledge shares one `Arc`-ed prior model instead of
-//!   estimating and holding thousands.
+//!   building and holding thousands. The intern table is consulted before
+//!   any model is built; a model is only ever mutated while no other
+//!   tenant shares it.
+//! * **`Adv(b′)` version chain** — a tenant's `Adv(b′)` session for one
+//!   version is the chain base of the next: the first
+//!   [`audit_against`](SessionHub::audit_against) of a new version
+//!   refreshes the base's prior model to the new table
+//!   ([`PriorEstimator::refresh_to`] — only the kernel neighborhood of QI
+//!   points whose fold changed is recomputed, however many versions were
+//!   skipped) and carries over every audit-memo entry whose priors did not
+//!   change ([`SharedAuditSession::successor`]). Eviction drops the chain;
+//!   a rehydrated tenant estimates afresh, bit-identically.
 //!
 //! Correctness bar (enforced by `tests/tests/hub.rs`,
 //! `tests/tests/recovery.rs` and `tests/tests/fleet.rs`): under any
@@ -208,17 +219,20 @@ impl TenantSnapshot {
 }
 
 /// Key of one retained reader-audit configuration of a tenant.
-#[derive(PartialEq, Eq, Clone, Copy)]
+#[derive(Debug, PartialEq, Eq, Clone, Copy)]
 enum ReaderKey {
     /// Externally supplied auditor: adversary + measure instance addresses
     /// plus the exact-inference cutoff. Valid across versions — the
     /// caller's model is frozen by definition, so stamp hits replay across
     /// deltas (the Fig. 1 "reuse the prior across releases" accounting).
     External(usize, usize, usize),
-    /// Hub-estimated `Adv(b')`, keyed by bandwidth bits **and the version
-    /// it was estimated from**: the adversary the current table implies
-    /// changes with the table, and risks cached under one model must never
-    /// be replayed for another.
+    /// Hub-built `Adv(b')`, keyed by bandwidth bits **and the version it
+    /// was built from**: the adversary the current table implies changes
+    /// with the table, so an audit of a newer version never replays this
+    /// session's stamps. At most one entry per bandwidth is kept: after an
+    /// apply, the entry of the superseded version stays as the **chain
+    /// base** that the next version's session is refreshed from (charged
+    /// to the tenant's reader bytes like any reader cache).
     Bandwidth(u64, u64),
 }
 
@@ -287,36 +301,48 @@ impl<S: SessionStrategy> Tenant<S> {
     }
 
     /// Fetch or build the shared audit session for `key`; `build` runs
-    /// outside the lock (it may estimate a prior model).
+    /// outside the lock (it may refresh or estimate a prior model). For a
+    /// hub-built `Adv(b')` key, the retained session of an *older* version
+    /// at the same bandwidth — the chain base — leaves the cache and is
+    /// handed to `build`, which carries it over to the new version.
     fn reader_session(
         &self,
         key: ReaderKey,
-        build: impl FnOnce() -> SharedAuditSession,
+        build: impl FnOnce(Option<Arc<SharedAuditSession>>) -> SharedAuditSession,
     ) -> Arc<SharedAuditSession> {
-        if let Some(found) = {
+        let base = {
             let mut readers = relock(self.readers.lock());
-            match readers.iter().position(|c| c.key == key) {
-                Some(idx) => {
-                    // Move to the back: LRU order for eviction.
-                    let entry = readers.remove(idx);
-                    let session = Arc::clone(&entry.session);
-                    readers.push(entry);
-                    Some(session)
-                }
-                None => None,
+            if let Some(idx) = readers.iter().position(|c| c.key == key) {
+                // Move to the back: LRU order for eviction.
+                let entry = readers.remove(idx);
+                let session = Arc::clone(&entry.session);
+                readers.push(entry);
+                return session;
             }
-        } {
-            return found;
-        }
-        let session = Arc::new(build());
+            match key {
+                ReaderKey::Bandwidth(bits, version) => readers
+                    .iter()
+                    .position(
+                        |c| matches!(c.key, ReaderKey::Bandwidth(b, v) if b == bits && v < version),
+                    )
+                    .map(|idx| readers.remove(idx).session),
+                ReaderKey::External(..) => None,
+            }
+        };
+        let session = Arc::new(build(base));
         let mut readers = relock(self.readers.lock());
         // Recheck: another reader may have built it while we did.
         if let Some(entry) = readers.iter().find(|c| c.key == key) {
             return Arc::clone(&entry.session);
         }
-        // A hub-estimated adversary for a newer version supersedes every
-        // older estimate at the same bandwidth.
-        if let ReaderKey::Bandwidth(bits, _) = key {
+        if let ReaderKey::Bandwidth(bits, version) = key {
+            // One session per bandwidth, and the newest version wins: a
+            // reader still auditing a superseded snapshot is served
+            // uncached rather than displacing the newer chain.
+            let newer = |c: &ReaderCache| matches!(c.key, ReaderKey::Bandwidth(b, v) if b == bits && v > version);
+            if readers.iter().any(newer) {
+                return session;
+            }
             readers.retain(|c| !matches!(c.key, ReaderKey::Bandwidth(b, _) if b == bits));
         }
         if readers.len() >= READER_CACHE_CAP {
@@ -920,22 +946,27 @@ impl<S: SessionStrategy> SessionHub<S> {
             }
             let snapshot = Arc::new(Self::snapshot_of(&entry.name, session));
             *relock(entry.published.write()) = Some(Arc::clone(&snapshot));
-            {
-                // A hub-estimated `Adv(b′)` is pinned to the version it was
-                // estimated from; the new version supersedes every older
-                // one. Dropping them here (not at next audit) is what keeps
-                // the per-`(b′, version)` map from leaking one adversary
-                // per delta forever.
-                let mut readers = relock(entry.readers.lock());
-                let seq = snapshot.version();
-                readers.retain(|c| !matches!(c.key, ReaderKey::Bandwidth(_, v) if v != seq));
-            }
             self.charge(
                 &entry.session_bytes,
                 session.bytes_accounted() + snapshot.bytes_accounted(),
             );
             snapshot
         };
+        // The superseded version's `Adv(b′)` sessions stay in the reader
+        // caches as chain bases (one per bandwidth): the next
+        // `audit_against` refreshes from them instead of estimating. Their
+        // stamps name the old model's risks and no successor keeps them, so
+        // only the signature memo stays resident. Cloned out under the
+        // brief `readers` guard, trimmed outside it.
+        let superseded = snapshot.version();
+        let bases: Vec<Arc<SharedAuditSession>> = relock(entry.readers.lock())
+            .iter()
+            .filter(|c| matches!(c.key, ReaderKey::Bandwidth(_, v) if v < superseded))
+            .map(|c| Arc::clone(&c.session))
+            .collect();
+        for base in bases {
+            base.evict_stamps();
+        }
         self.recount_readers(&entry);
         self.maybe_evict(Some(&entry.name));
         Ok(snapshot)
@@ -959,7 +990,7 @@ impl<S: SessionStrategy> SessionHub<S> {
             Arc::as_ptr(auditor.measure()) as *const () as usize,
             auditor.exact_below(),
         );
-        let shared = entry.reader_session(key, || SharedAuditSession::new(auditor.clone()));
+        let shared = entry.reader_session(key, |_| SharedAuditSession::new(auditor.clone()));
         let report = snapshot.audit_cached(&shared, t);
         self.recount_readers(&entry);
         self.maybe_evict(Some(&entry.name));
@@ -968,17 +999,20 @@ impl<S: SessionStrategy> SessionHub<S> {
 
     /// Audit a tenant's current version against the adversary `Adv(b')`
     /// with threshold `t`, using the paper's smoothed-JS distance. The
-    /// adversary's prior model is estimated **from the version being
-    /// audited** and cached per `(b', version)` — audits between deltas
-    /// replay it, a delta invalidates it, and the first audit of the new
-    /// version re-estimates (always measuring the adversary the current
-    /// table implies, like
-    /// [`PublishSession::audit_against`](crate::PublishSession::audit_against)).
+    /// adversary's prior model is that of **the version being audited**
+    /// and is cached per `(b', version)` — audits between deltas replay
+    /// it, and the first audit of a new version refreshes the previous
+    /// version's model to the new table and carries its audit memo over
+    /// (the `Adv(b′)` version chain — always measuring the adversary the
+    /// current table implies, like
+    /// [`PublishSession::audit_against`](crate::PublishSession::audit_against),
+    /// bit-identical to estimating it from scratch).
     ///
-    /// Estimation goes through the hub's cross-tenant intern table: two
-    /// tenants whose tables fold to identical content (and who audit at
-    /// the same `b'`) share one `Arc`-ed model — a 10k-tenant fleet with
-    /// common background knowledge pays for one estimation, not 10k.
+    /// Model construction goes through the hub's cross-tenant intern
+    /// table: two tenants whose tables fold to identical content (and who
+    /// audit at the same `b'`) share one `Arc`-ed model — a 10k-tenant
+    /// fleet with common background knowledge pays for one estimation, not
+    /// 10k.
     pub fn audit_against(
         &self,
         tenant: &str,
@@ -988,15 +1022,10 @@ impl<S: SessionStrategy> SessionHub<S> {
         let entry = self.tenant(tenant)?;
         let snapshot = self.resident_snapshot(&entry)?;
         let key = ReaderKey::Bandwidth(b_prime.to_bits(), snapshot.version());
-        let shared = entry.reader_session(key, || {
-            let table = snapshot.table();
-            let bandwidth =
-                Bandwidth::uniform(b_prime, table.qi_count()).expect("positive bandwidth");
-            let adversary = self.intern_adversary(table, bandwidth);
-            let measure = Arc::new(SmoothedJs::paper_default(
-                table.schema().sensitive_distance(),
-            ));
-            SharedAuditSession::new(Auditor::new(adversary, measure))
+        let bandwidth =
+            Bandwidth::uniform(b_prime, snapshot.table().qi_count()).expect("positive bandwidth");
+        let shared = entry.reader_session(key, |base| {
+            self.adversary_session(snapshot.table(), bandwidth, base)
         });
         let report = snapshot.audit_cached(&shared, t);
         self.recount_readers(&entry);
@@ -1272,24 +1301,81 @@ impl<S: SessionStrategy> SessionHub<S> {
         self.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Fetch-or-estimate the `Adv(b′)` adversary for `table` through the
-    /// cross-tenant intern table. The fold is computed and (on a miss) the
-    /// model estimated entirely outside the intern lock; the lock is held
-    /// only for the two lookups and the insert. First insert wins a race.
-    fn intern_adversary(&self, table: &Table, bandwidth: Bandwidth) -> Arc<Adversary> {
+    /// Build the shared `Adv(b′)` audit session for `table`, chained from
+    /// `base` — the same tenant's session at the same `b′` for an earlier
+    /// version — when there is one.
+    ///
+    /// The table is folded and the cross-tenant intern table consulted
+    /// first, so fleet sharing works as before. On an intern miss the
+    /// base's model is refreshed to the new fold
+    /// ([`PriorEstimator::refresh_to`]) — in place via [`Arc::make_mut`],
+    /// which clones only while another tenant or an in-flight reader still
+    /// shares it — and the model is estimated from scratch only without a
+    /// base. With a base the session is its
+    /// [`successor`](SharedAuditSession::successor), keeping every memo
+    /// entry whose priors survived. Fold, refresh and estimation run
+    /// outside every lock; the intern lock is held only for the lookup and
+    /// the insert, and the first insert wins a race.
+    fn adversary_session(
+        &self,
+        table: &Table,
+        bandwidth: Bandwidth,
+        base: Option<Arc<SharedAuditSession>>,
+    ) -> SharedAuditSession {
         let family = KernelFamily::Epanechnikov;
         let fold = FoldedTable::new(table);
         let key = intern_key(&fold, &bandwidth, family);
-        {
+        let found = {
             let mut interned = relock(self.interned.lock());
-            if let Some(found) = interned.find(key, &fold, &bandwidth, family) {
+            let found = interned.find(key, &fold, &bandwidth, family);
+            if found.is_some() {
                 interned.hits += 1;
-                return found;
+            } else {
+                interned.misses += 1;
             }
-            interned.misses += 1;
-        }
-        let estimator = PriorEstimator::new(Arc::clone(table.schema()), bandwidth.clone());
-        let model = Arc::new(estimator.estimate_folded(fold, Parallelism::Auto));
+            found
+        };
+        let estimator = || PriorEstimator::new(Arc::clone(table.schema()), bandwidth.clone());
+        let Some(base) = base else {
+            let adversary = found.unwrap_or_else(|| {
+                let model = estimator().estimate_folded(fold, Parallelism::Auto);
+                self.intern_model(key, Arc::new(model), &bandwidth, family)
+            });
+            let measure = Arc::new(SmoothedJs::paper_default(
+                table.schema().sensitive_distance(),
+            ));
+            return SharedAuditSession::new(Auditor::new(adversary, measure));
+        };
+        SharedAuditSession::successor(base, |retired| {
+            let measure = Arc::clone(retired.measure());
+            let adversary = found.unwrap_or_else(|| {
+                let previous = retired.adversary().prior_model().cloned();
+                // Release the retired adversary's hold on the model, so the
+                // refresh below mutates it in place when nothing else does.
+                drop(retired);
+                let model = match previous {
+                    Some(mut model) if model.is_refreshable() => {
+                        estimator().refresh_to(Arc::make_mut(&mut model), fold, Parallelism::Auto);
+                        model
+                    }
+                    _ => Arc::new(estimator().estimate_folded(fold, Parallelism::Auto)),
+                };
+                self.intern_model(key, model, &bandwidth, family)
+            });
+            Auditor::new(adversary, measure)
+        })
+    }
+
+    /// Intern a freshly built `Adv(b′)` model under `key`, or return the
+    /// content-identical adversary another thread interned while this one
+    /// was building — so both callers share.
+    fn intern_model(
+        &self,
+        key: u64,
+        model: Arc<PriorModel>,
+        bandwidth: &Bandwidth,
+        family: KernelFamily,
+    ) -> Arc<Adversary> {
         let adversary = Arc::new(Adversary::from_model(
             &format!("Adv({bandwidth})"),
             bandwidth.clone(),
@@ -1299,10 +1385,8 @@ impl<S: SessionStrategy> SessionHub<S> {
         if let Some(won) = adversary
             .prior_model()
             .and_then(|m| m.folded())
-            .and_then(|f| interned.find(key, f, &bandwidth, family))
+            .and_then(|f| interned.find(key, f, bandwidth, family))
         {
-            // Another thread estimated the same provenance while we did;
-            // keep the interned one so both callers share.
             return won;
         }
         interned.insert(key, &adversary);
@@ -1652,19 +1736,74 @@ mod tests {
     }
 
     #[test]
-    fn apply_drops_superseded_adversary_caches() {
+    fn apply_keeps_one_adversary_chain_base_per_bandwidth() {
         let hub = hub_with(&[("a", 4)], 200, 4);
         hub.audit_against("a", 0.3, 0.2).unwrap();
         hub.audit_against("a", 0.5, 0.2).unwrap();
         let entry = hub.tenant("a").unwrap();
-        assert_eq!(relock(entry.readers.lock()).len(), 2);
-        let d = delta_for(hub.snapshot("a").unwrap().table(), &[1], 2, 11);
-        hub.apply("a", &d).unwrap();
-        // Both Adv(b') caches were keyed to version 0; version 1 evicts
-        // them instead of letting the map grow per (b', version).
-        assert_eq!(relock(entry.readers.lock()).len(), 0);
+        let keys =
+            || -> Vec<ReaderKey> { relock(entry.readers.lock()).iter().map(|c| c.key).collect() };
+        let (b3, b5) = (0.3f64.to_bits(), 0.5f64.to_bits());
+        assert_eq!(
+            keys(),
+            [ReaderKey::Bandwidth(b3, 0), ReaderKey::Bandwidth(b5, 0)]
+        );
+        // Applies keep the version-0 sessions as chain bases — still one
+        // per bandwidth, still charged to the tenant's reader bytes — no
+        // matter how many versions go by unaudited.
+        for (step, seed) in [11u64, 12].into_iter().enumerate() {
+            let d = delta_for(hub.snapshot("a").unwrap().table(), &[1 + step], 2, seed);
+            hub.apply("a", &d).unwrap();
+            assert_eq!(
+                keys(),
+                [ReaderKey::Bandwidth(b3, 0), ReaderKey::Bandwidth(b5, 0)]
+            );
+            assert!(entry.reader_bytes.load(Ordering::Relaxed) > 0);
+        }
+        // The next audit at b' = 0.3 replaces its chain base.
         hub.audit_against("a", 0.3, 0.2).unwrap();
-        assert_eq!(relock(entry.readers.lock()).len(), 1);
+        assert_eq!(
+            keys(),
+            [ReaderKey::Bandwidth(b5, 0), ReaderKey::Bandwidth(b3, 2)]
+        );
+    }
+
+    #[test]
+    fn audit_against_refreshes_the_chain_base_model_in_place() {
+        let hub = hub_with(&[("a", 6)], 300, 4);
+        hub.audit_against("a", 0.3, 0.2).unwrap();
+        let entry = hub.tenant("a").unwrap();
+        let model_of = |entry: &Tenant<AnyStrategy>| {
+            let readers = relock(entry.readers.lock());
+            let model = readers[0].session.auditor().adversary().prior_model();
+            let model = Arc::clone(model.expect("hub-built kernel adversary"));
+            let ids: HashMap<Vec<u32>, u64> = model
+                .iter()
+                .map(|(qi, _)| (qi.to_vec(), model.prior_entry(qi).0))
+                .collect();
+            (Arc::as_ptr(&model) as usize, ids)
+        };
+        let (before, ids_before) = model_of(&entry);
+        let d = delta_for(hub.snapshot("a").unwrap().table(), &[2, 90], 2, 5);
+        hub.apply("a", &d).unwrap();
+        let report = hub.audit_against("a", 0.3, 0.2).unwrap();
+        let (after, ids_after) = model_of(&entry);
+        // Nothing else held the version-0 model, so the refresh mutated it
+        // in place, and the priors outside the delta's kernel neighborhood
+        // kept their ids.
+        assert_eq!(before, after);
+        let kept = ids_after
+            .iter()
+            .filter(|(qi, id)| ids_before.get(*qi) == Some(id))
+            .count();
+        assert!(kept > 0 && kept < ids_after.len(), "kept {kept}");
+        // And the chained report is the fresh estimate's.
+        let snap = hub.snapshot("a").unwrap();
+        let mut reference = Publisher::new().k_anonymity(4).open(snap.table()).unwrap();
+        let reference = reference.audit_against(0.3, 0.2);
+        for (a, b) in report.risks.iter().zip(&reference.risks) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]

@@ -599,11 +599,15 @@ impl<S: SessionStrategy> PublishSession<S> {
 
     /// Route `delta` through every tracked adversary model — called by
     /// [`apply`](Self::apply) while `self.table` is still the pre-delta
-    /// table the models reflect. Each refreshed model gets a rebuilt
-    /// adversary + audit session: the risk caches key on prior *identities*
-    /// inside the model, and a refresh frees the dirty priors' allocations
-    /// (a later allocation could reuse an address and alias a cached
-    /// identity), so the caches must not survive the mutation.
+    /// table the models reflect. Each refreshed model gets a new adversary,
+    /// and its audit session moves onto it through
+    /// [`AuditSession::successor`] — the same mechanism the serving hub's
+    /// `Adv(b′)` chain uses. The risk caches key on stable prior ids: a
+    /// refresh issues fresh ids to exactly the priors it recomputes, so a
+    /// memo entry naming only surviving priors still replays bit-identical
+    /// risks, while one naming a recomputed prior can never match again.
+    /// The stamp cache does not carry (a stamp names a group's rows, not
+    /// its priors).
     ///
     /// The refresh is **eager** — the models track the table even through
     /// applies that are never audited. That keeps every audit's cost
@@ -615,45 +619,33 @@ impl<S: SessionStrategy> PublishSession<S> {
         if !self.audits.iter().any(|c| c.tracked.is_some()) {
             return;
         }
-        let old = std::mem::take(&mut self.audits);
-        self.audits = old
+        let (table, parallelism) = (&self.table, self.parallelism);
+        self.audits = std::mem::take(&mut self.audits)
             .into_iter()
-            .map(|cache| {
-                let AuditCache {
-                    key,
-                    session,
-                    tracked,
-                } = cache;
-                let Some(mut tracked) = tracked else {
-                    return AuditCache {
-                        key,
-                        session,
-                        tracked: None,
-                    };
+            .map(|mut cache| {
+                let Some(tracked) = cache.tracked.as_mut() else {
+                    return cache;
                 };
-                let measure = Arc::clone(session.auditor().measure());
-                let exact_below = session.auditor().exact_below();
-                // Drop the old session (and with it the old adversary's
-                // model handle) so the refresh mutates in place instead of
-                // cloning the model.
-                drop(session);
-                tracked.estimator.refresh_with(
-                    Arc::make_mut(&mut tracked.model),
-                    &self.table,
-                    delta,
-                    self.parallelism,
-                );
-                let adversary = Arc::new(Adversary::from_model(
-                    &format!("Adv({})", tracked.bandwidth),
-                    tracked.bandwidth.clone(),
-                    Arc::clone(&tracked.model),
-                ));
-                let auditor = Auditor::new(adversary, measure).use_exact_below(exact_below);
-                AuditCache {
-                    key,
-                    session: AuditSession::new(auditor),
-                    tracked: Some(tracked),
-                }
+                cache.session = cache.session.successor(|retired| {
+                    let measure = Arc::clone(retired.measure());
+                    let exact_below = retired.exact_below();
+                    // Release the retired adversary's hold on the model so
+                    // the refresh mutates it in place instead of cloning.
+                    drop(retired);
+                    tracked.estimator.refresh_with(
+                        Arc::make_mut(&mut tracked.model),
+                        table,
+                        delta,
+                        parallelism,
+                    );
+                    let adversary = Arc::new(Adversary::from_model(
+                        &format!("Adv({})", tracked.bandwidth),
+                        tracked.bandwidth.clone(),
+                        Arc::clone(&tracked.model),
+                    ));
+                    Auditor::new(adversary, measure).use_exact_below(exact_below)
+                });
+                cache
             })
             .collect();
     }

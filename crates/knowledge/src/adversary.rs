@@ -19,7 +19,7 @@ use bgkanon_data::Table;
 use bgkanon_stats::Dist;
 
 use crate::bandwidth::Bandwidth;
-use crate::estimator::{KernelFamily, PriorEstimator, PriorModel};
+use crate::estimator::{fresh_prior_ids, KernelFamily, PriorEstimator, PriorModel};
 
 /// An adversary with an estimated prior belief function.
 ///
@@ -45,8 +45,8 @@ pub struct Adversary {
 enum AdversaryModel {
     /// Full kernel-estimated model.
     Kernel(Arc<PriorModel>),
-    /// The same distribution for every tuple.
-    Constant(Dist),
+    /// The same distribution, with its stable prior id, for every tuple.
+    Constant(u64, Dist),
 }
 
 impl Adversary {
@@ -85,7 +85,7 @@ impl Adversary {
         Adversary {
             label: "Adv(t-closeness)".to_owned(),
             bandwidth: None,
-            model: AdversaryModel::Constant(q),
+            model: AdversaryModel::Constant(fresh_prior_ids(1), q),
         }
     }
 
@@ -97,7 +97,7 @@ impl Adversary {
         Adversary {
             label: "Adv(ignorant)".to_owned(),
             bandwidth: None,
-            model: AdversaryModel::Constant(Dist::uniform(m)),
+            model: AdversaryModel::Constant(fresh_prior_ids(1), Dist::uniform(m)),
         }
     }
 
@@ -118,7 +118,7 @@ impl Adversary {
     pub fn prior_model(&self) -> Option<&Arc<PriorModel>> {
         match &self.model {
             AdversaryModel::Kernel(m) => Some(m),
-            AdversaryModel::Constant(_) => None,
+            AdversaryModel::Constant(..) => None,
         }
     }
 
@@ -130,16 +130,24 @@ impl Adversary {
     pub fn bytes_accounted(&self) -> usize {
         let model = match &self.model {
             AdversaryModel::Kernel(_) => 8,
-            AdversaryModel::Constant(d) => d.len() * 8 + 32,
+            AdversaryModel::Constant(_, d) => d.len() * 8 + 40,
         };
         self.label.len() + self.bandwidth.as_ref().map_or(0, |b| b.len() * 8) + model + 64
     }
 
     /// Prior belief `Ppri(B, q)` for an individual with QI combination `qi`.
     pub fn prior(&self, qi: &[u32]) -> &Dist {
+        self.prior_entry(qi).1
+    }
+
+    /// [`prior`](Self::prior) together with its stable id (see
+    /// [`PriorModel::prior_entry`]): equal ids denote bit-identical
+    /// priors, in this adversary and in every other one of the process.
+    #[inline]
+    pub fn prior_entry(&self, qi: &[u32]) -> (u64, &Dist) {
         match &self.model {
-            AdversaryModel::Kernel(m) => m.prior_or_fallback(qi),
-            AdversaryModel::Constant(d) => d,
+            AdversaryModel::Kernel(m) => m.prior_entry(qi),
+            AdversaryModel::Constant(id, d) => (*id, d),
         }
     }
 

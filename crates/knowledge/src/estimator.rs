@@ -27,19 +27,59 @@
 //!   ([`PriorEstimator::estimate_reference`], also selected by
 //!   [`Parallelism::Serial`]), which `tests/tests/estimation.rs`
 //!   property-tests across kernel families and bandwidths;
-//! * compact support also makes the model **session-refreshable**: a
-//!   [`Delta`] can only perturb priors inside the kernel neighborhood of
-//!   the changed points, so [`PriorEstimator::refresh`] recomputes exactly
-//!   that dirty neighborhood and is bit-identical to a from-scratch
-//!   estimate of the post-delta table.
+//! * compact support also makes the model **refreshable**: a change of
+//!   the table can only perturb priors inside the kernel neighborhood of
+//!   the changed QI points, so one refresh core recomputes exactly that
+//!   dirty neighborhood, bit-identical to a from-scratch estimate of the
+//!   new table. It has two front ends: [`PriorEstimator::refresh_with`]
+//!   takes a [`Delta`] against the pre-delta table, and
+//!   [`PriorEstimator::refresh_to`] takes the new table's fold and finds
+//!   the changed points by a linear merge of the two sorted folds — so a
+//!   model can jump over any number of versions at once;
+//! * every prior carries a stable **id** ([`PriorModel::prior_entry`]):
+//!   ids come from a process-wide counter and are never reused, and a
+//!   refresh issues fresh ids only for the priors it recomputes. Equal ids
+//!   therefore always denote bit-identical distributions, across models,
+//!   versions and tenants — which is what lets audit memos keyed by prior
+//!   id survive a refresh.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bgkanon_data::{Delta, Parallelism, Schema, Table};
 use bgkanon_stats::{Dist, Kernel};
 
 use crate::bandwidth::Bandwidth;
+
+/// Process-wide source of prior ids. Never reset, so an id is never issued
+/// twice in one process. `Relaxed` suffices: `fetch_add` alone makes the
+/// ids unique, and they publish no other data.
+static NEXT_PRIOR_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Reserve `n` consecutive fresh prior ids and return the first.
+pub(crate) fn fresh_prior_ids(n: usize) -> u64 {
+    NEXT_PRIOR_ID.fetch_add(n as u64, Ordering::Relaxed)
+}
+
+/// Give every prior of a bare prior map a fresh id.
+fn identify(priors: HashMap<Box<[u32]>, Dist>) -> HashMap<Box<[u32]>, (u64, Dist)> {
+    let base = fresh_prior_ids(priors.len());
+    priors
+        .into_iter() // bgk-allow: R3 ids are opaque identities, never emitted or ordered on
+        .enumerate()
+        .map(|(i, (qi, dist))| (qi, (base + i as u64, dist)))
+        .collect()
+}
+
+/// Bitwise equality of two distributions.
+fn same_bits(a: &Dist, b: &Dist) -> bool {
+    a.len() == b.len()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
 
 /// Which kernel family to instantiate per attribute. The paper uses
 /// Epanechnikov throughout; Uniform recovers the §II.D special cases.
@@ -603,6 +643,53 @@ impl FoldedTable {
         self.qi.extend_from_slice(qi);
         self.counts.push(count);
     }
+
+    /// The QI combinations whose multiplicity or histogram differs between
+    /// this fold and `next`: points present in only one of them, and
+    /// points whose histogram changed. One linear merge over the two
+    /// sorted point arrays, in ascending QI order — the same keys
+    /// [`apply_delta`](Self::apply_delta) returns for a delta that takes
+    /// this fold's table to `next`'s, however many versions lie between.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the folds have different QI arity or sensitive domains.
+    pub fn changed_points(&self, next: &FoldedTable) -> Vec<Box<[u32]>> {
+        assert_eq!(
+            (self.qi_count, self.m),
+            (next.qi_count, next.m),
+            "folds of different schemas"
+        );
+        let mut changed = Vec::new();
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < self.len() || j < next.len() {
+            let order = if i == self.len() {
+                std::cmp::Ordering::Greater
+            } else if j == next.len() {
+                std::cmp::Ordering::Less
+            } else {
+                self.point_qi(i).cmp(next.point_qi(j))
+            };
+            match order {
+                std::cmp::Ordering::Less => {
+                    changed.push(self.point_qi(i).into());
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    changed.push(next.point_qi(j).into());
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    if self.point_hist(i) != next.point_hist(j) {
+                        changed.push(next.point_qi(j).into());
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        changed
+    }
 }
 
 /// Per-attribute inverted index over a [`FoldedTable`]'s points, in two
@@ -689,12 +776,23 @@ enum CandidateSet<'a> {
 /// [refreshable](PriorModel::refresh) under table deltas), and the
 /// bandwidth/family provenance; unseen combinations can be estimated on
 /// demand with [`PriorEstimator::estimate_at`].
+///
+/// Every prior — and the whole-table fallback — carries a stable id
+/// ([`prior_entry`](Self::prior_entry)). Ids are issued from a
+/// process-wide counter and never reused; a prior keeps its id exactly as
+/// long as its value stays the same, so equal ids denote bit-identical
+/// distributions in any model of the process. Clones share ids with their
+/// source (same values), and a refresh issues fresh ids only for the
+/// priors it recomputes.
 #[derive(Debug, Clone)]
 pub struct PriorModel {
-    priors: HashMap<Box<[u32]>, Dist>,
+    /// `(id, prior)` per distinct QI combination.
+    priors: HashMap<Box<[u32]>, (u64, Dist)>,
     /// The whole-table sensitive distribution, used as the zero-weight
     /// fallback (it is also what Eq. 2 degrades to with maximal bandwidth).
     table_distribution: Dist,
+    /// Id of `table_distribution`.
+    table_distribution_id: u64,
     /// The folded estimation table — present on models built by the
     /// estimator (and reloaded v2 persisted models), absent on bare
     /// [`from_parts`](Self::from_parts) models.
@@ -709,11 +807,12 @@ impl PriorModel {
     /// Assemble a model from raw parts (the legacy persistence format and
     /// tests use this; prefer [`PriorEstimator::estimate`]). The result has
     /// no folded table and therefore cannot
-    /// [`refresh`](PriorModel::refresh).
+    /// [`refresh`](PriorModel::refresh). Every prior gets a fresh id.
     pub fn from_parts(priors: HashMap<Box<[u32]>, Dist>, table_distribution: Dist) -> Self {
         PriorModel {
-            priors,
+            priors: identify(priors),
             table_distribution,
+            table_distribution_id: fresh_prior_ids(1),
             folded: None,
             bandwidth: None,
             family: KernelFamily::default(),
@@ -728,8 +827,9 @@ impl PriorModel {
         family: KernelFamily,
     ) -> Self {
         PriorModel {
-            priors,
+            priors: identify(priors),
             table_distribution: folded.table_distribution(),
+            table_distribution_id: fresh_prior_ids(1),
             folded: Some(folded),
             bandwidth: Some(bandwidth),
             family,
@@ -739,13 +839,24 @@ impl PriorModel {
     /// Prior belief for the QI combination `qi`, if it appeared in the
     /// estimation table.
     pub fn prior(&self, qi: &[u32]) -> Option<&Dist> {
-        self.priors.get(qi)
+        self.priors.get(qi).map(|(_, p)| p)
     }
 
     /// Prior belief for `qi`, falling back to the whole-table distribution
     /// for combinations outside the estimation table.
     pub fn prior_or_fallback(&self, qi: &[u32]) -> &Dist {
-        self.priors.get(qi).unwrap_or(&self.table_distribution)
+        self.prior_entry(qi).1
+    }
+
+    /// [`prior_or_fallback`](Self::prior_or_fallback) together with the
+    /// prior's stable id (the fallback's own id outside the estimation
+    /// table) — the identity audit memos key on.
+    #[inline]
+    pub fn prior_entry(&self, qi: &[u32]) -> (u64, &Dist) {
+        match self.priors.get(qi) {
+            Some((id, p)) => (*id, p),
+            None => (self.table_distribution_id, &self.table_distribution),
+        }
     }
 
     /// The whole-table sensitive distribution `Q`.
@@ -819,11 +930,11 @@ impl PriorModel {
 
     /// Iterate over `(qi, prior)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u32], &Dist)> {
-        self.priors.iter().map(|(k, v)| (k.as_ref(), v)) // bgk-allow: R3 callers sort before emission (persist::save_model)
+        self.priors.iter().map(|(k, (_, v))| (k.as_ref(), v)) // bgk-allow: R3 callers sort before emission (persist::save_model)
     }
 
     /// Heap bytes resident in this model: the prior map (every entry holds
-    /// a boxed QI key and an `m`-ary distribution — uniform shapes, so the
+    /// a boxed QI key, an id and an `m`-ary distribution — uniform shapes, so the
     /// sum needs no hash-ordered iteration), the table distribution, and
     /// the retained fold. The accounting hook the serving hub's memory
     /// budget rolls up per tenant (and the intern table reports once per
@@ -837,7 +948,7 @@ impl PriorModel {
             .map(Bandwidth::len)
             .or_else(|| self.folded.as_ref().map(FoldedTable::qi_count))
             .unwrap_or(8);
-        let per_entry = d * 4 + m * 8 + 96;
+        let per_entry = d * 4 + m * 8 + 104;
         self.priors.len() * per_entry
             + m * 8
             + self.folded.as_ref().map_or(0, FoldedTable::bytes_accounted)
@@ -1331,13 +1442,20 @@ impl PriorEstimator {
             folded = Arc::try_unwrap(shared_folded).expect("pool jobs have joined");
             fallback = Arc::try_unwrap(shared_fallback).expect("pool jobs have joined");
         }
+        let base = fresh_prior_ids(n_points);
         let priors = (0..n_points)
             .zip(results)
-            .map(|(i, d)| (folded.point_qi(i).into(), d.expect("filled above")))
+            .map(|(i, d)| {
+                (
+                    folded.point_qi(i).into(),
+                    (base + i as u64, d.expect("filled above")),
+                )
+            })
             .collect();
         PriorModel {
             priors,
             table_distribution: fallback,
+            table_distribution_id: fresh_prior_ids(1),
             folded: Some(folded),
             bandwidth: Some(self.bandwidth.clone()),
             family: self.family,
@@ -1361,16 +1479,18 @@ impl PriorEstimator {
         let fallback = folded.table_distribution();
         let mut numer = Vec::new();
         let mut priors = HashMap::with_capacity(folded.len());
+        let base = fresh_prior_ids(folded.len());
         for i in 0..folded.len() {
             let denom = self.accumulate(folded.point_qi(i), &folded, CandidateSet::All, &mut numer);
             priors.insert(
                 folded.point_qi(i).into(),
-                self.finalize(&numer, denom, &fallback),
+                (base + i as u64, self.finalize(&numer, denom, &fallback)),
             );
         }
         PriorModel {
             priors,
             table_distribution: fallback,
+            table_distribution_id: fresh_prior_ids(1),
             folded: Some(folded),
             bandwidth: Some(self.bandwidth.clone()),
             family: self.family,
@@ -1441,20 +1561,20 @@ impl PriorEstimator {
 
     /// Evolve `model` by one delta against its estimation table, where
     /// `table` is the **pre-delta** table the model currently reflects.
-    /// Compact kernel support means the delta can only perturb priors
-    /// within the product-kernel neighborhood of the changed QI points, so
-    /// only that dirty neighborhood is recomputed (under `parallelism`
-    /// worker threads; `Serial` recomputes on one thread). The result is
-    /// **bit-identical** to a from-scratch
-    /// [`estimate`](Self::estimate) of the post-delta table.
+    /// The changed QI points come from [`FoldedTable::apply_delta`]; the
+    /// shared refresh core then recomputes only the priors inside their
+    /// product-kernel neighborhood (under `parallelism` worker threads;
+    /// `Serial` recomputes on one thread). The result is **bit-identical**
+    /// to a from-scratch [`estimate`](Self::estimate) of the post-delta
+    /// table.
     ///
     /// # Panics
     ///
     /// Panics when `model` was not built by this estimator's `estimate*`
-    /// path (no folded table — see [`PriorModel::is_refreshable`]), when
-    /// `table`/`delta` are inconsistent with the model's fold, or when the
-    /// delta would empty the table (checked before any mutation — see
-    /// [`FoldedTable::apply_delta`]).
+    /// path (no folded table — see [`PriorModel::is_refreshable`] — or a
+    /// different bandwidth/family), when `table`/`delta` are inconsistent
+    /// with the model's fold, or when the delta would empty the table
+    /// (checked before any mutation — see [`FoldedTable::apply_delta`]).
     pub fn refresh_with(
         &self,
         model: &mut PriorModel,
@@ -1462,33 +1582,100 @@ impl PriorEstimator {
         delta: &Delta,
         parallelism: Parallelism,
     ) {
-        let t0 = std::time::Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
-                                            // Checked here, before the fold is taken out of the model, so a
-                                            // panic leaves the model fully intact.
+        // Checked here, before the fold is taken out of the model, so a
+        // panic leaves the model fully intact.
         assert!(
             table.len() + delta.insert_count() > delta.delete_count(),
             "delta would empty the table"
         );
+        self.assert_provenance(model);
         let mut folded = model
             .folded
             .take()
             .expect("model is not refreshable (built without a folded table)");
         let changed = folded.apply_delta(table, delta);
+        self.recompute_dirty(model, folded, &changed, parallelism);
+    }
+
+    /// Evolve `model` to the table `folded` was built from, whatever
+    /// happened in between — any number of deltas, including versions the
+    /// model never saw. The changed QI points come from a linear merge of
+    /// the model's fold and `folded` ([`FoldedTable::changed_points`]);
+    /// the shared refresh core then recomputes only their product-kernel
+    /// neighborhood. **Bit-identical** to
+    /// [`estimate_folded`](Self::estimate_folded) of `folded`, and needs
+    /// neither a delta nor the pre-delta table.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `model` was not built by this estimator's `estimate*`
+    /// path, when `folded` has another schema, or when it is empty — all
+    /// checked before any mutation.
+    pub fn refresh_to(
+        &self,
+        model: &mut PriorModel,
+        folded: FoldedTable,
+        parallelism: Parallelism,
+    ) {
+        assert!(!folded.is_empty(), "cannot refresh to an empty table");
+        self.assert_provenance(model);
+        let changed = model
+            .folded
+            .as_ref()
+            .map_or_else(Vec::new, |old| old.changed_points(&folded));
+        self.recompute_dirty(model, folded, &changed, parallelism);
+    }
+
+    /// A refresh needs the model's fold and must run with the estimator the
+    /// model was estimated with; anything else would splice priors of two
+    /// different adversaries.
+    fn assert_provenance(&self, model: &PriorModel) {
+        assert!(
+            model.is_refreshable(),
+            "model is not refreshable (built without a folded table)"
+        );
+        let same_bandwidth = model.bandwidth.as_ref().is_none_or(|b| {
+            b.len() == self.bandwidth.len()
+                && b.as_slice()
+                    .iter()
+                    .zip(self.bandwidth.as_slice())
+                    .all(|(x, y)| x.to_bits() == y.to_bits())
+        });
+        assert!(
+            same_bandwidth && model.family == self.family,
+            "model was estimated with another bandwidth or kernel family"
+        );
+    }
+
+    /// The refresh core both front ends share: install `folded` (the new
+    /// estimation table) in `model` and recompute exactly the priors within
+    /// the (symmetric) product-kernel support of a `changed` QI point.
+    /// Priors of combinations that left the table are dropped; every
+    /// recomputed prior gets a fresh id, every other prior keeps its id and
+    /// its bits.
+    fn recompute_dirty(
+        &self,
+        model: &mut PriorModel,
+        folded: FoldedTable,
+        changed: &[Box<[u32]>],
+        parallelism: Parallelism,
+    ) {
         if changed.is_empty() {
             model.folded = Some(folded);
             return;
         }
-        let t1 = std::time::Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
+        let t0 = std::time::Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
+        let mut folded = folded;
         let mut fallback = folded.table_distribution();
         let index = self.index(&folded);
-        let t2 = std::time::Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
+        let t1 = std::time::Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
 
         // Mark the dirty neighborhood: every point within the (symmetric)
         // product-kernel support of a changed QI combination.
         let mut dirty = vec![false; folded.len()];
         let mut buf = Vec::new();
         let mut bits = Vec::new();
-        for key in &changed {
+        for key in changed {
             // Order is irrelevant for marking — skip the sort.
             let candidates = self.candidates(&folded, &index, key, &mut buf, &mut bits, false);
             let mut mark = |id: usize| {
@@ -1511,31 +1698,35 @@ impl PriorEstimator {
             .enumerate()
             .filter_map(|(id, &d)| d.then_some(id as u32))
             .collect();
-        let t3 = std::time::Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
+        let t2 = std::time::Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
 
         // Recompute exactly the dirty points, in deterministic order.
         let threads = parallelism.effective_threads().min(dirty_ids.len().max(1));
-        let mut results: Vec<Option<Dist>> = vec![None; dirty_ids.len()];
-        if threads <= 1 {
+        let results: Vec<Dist> = if threads <= 1 {
             let mut numer = Vec::new();
-            for (slot, &id) in results.iter_mut().zip(&dirty_ids) {
-                *slot = Some(self.query(
-                    &folded,
-                    &index,
-                    folded.point_qi(id as usize),
-                    &fallback,
-                    &mut buf,
-                    &mut bits,
-                    &mut numer,
-                ));
-            }
+            dirty_ids
+                .iter()
+                .map(|&id| {
+                    self.query(
+                        &folded,
+                        &index,
+                        folded.point_qi(id as usize),
+                        &fallback,
+                        &mut buf,
+                        &mut bits,
+                        &mut numer,
+                    )
+                })
+                .collect()
         } else {
             // Worker jobs run on the process-wide pool, same as the
             // `estimate` path — a serving thread's refresh never opens a
             // per-call scope. Jobs are `'static`: the fold/index/fallback
-            // and the dirty-id list move in behind `Arc`s (recovered after
-            // the barrier — the jobs have all dropped their handles by
-            // then) and each job carries its own estimator clone.
+            // and the dirty-id list move in behind `Arc`s and each job
+            // carries its own estimator clone. Chunks come back in job
+            // order, so flattening them restores the dirty-id order; the
+            // jobs have all dropped their handles by then, so taking the
+            // fold back never clones.
             let chunk = dirty_ids.len().div_ceil(threads);
             let shared_folded = Arc::new(folded);
             let shared_index = Arc::new(index);
@@ -1570,34 +1761,35 @@ impl PriorEstimator {
                     }
                 })
                 .collect();
-            let outputs = bgkanon_data::shared_pool().run(jobs);
-            for (t, chunk_out) in outputs.into_iter().enumerate() {
-                for (off, dist) in chunk_out.into_iter().enumerate() {
-                    results[t * chunk + off] = Some(dist);
-                }
-            }
-            folded = Arc::try_unwrap(shared_folded).expect("pool jobs have joined");
-            fallback = Arc::try_unwrap(shared_fallback).expect("pool jobs have joined");
-            dirty_ids = Arc::try_unwrap(shared_ids).expect("pool jobs have joined");
+            let results = bgkanon_data::shared_pool()
+                .run(jobs)
+                .into_iter()
+                .flatten()
+                .collect();
+            folded = Arc::try_unwrap(shared_folded).unwrap_or_else(|f| (*f).clone());
+            fallback = Arc::try_unwrap(shared_fallback).unwrap_or_else(|f| (*f).clone());
+            dirty_ids = Arc::try_unwrap(shared_ids).unwrap_or_else(|ids| (*ids).clone());
+            results
+        };
+        let base = fresh_prior_ids(dirty_ids.len());
+        for (i, (&id, dist)) in dirty_ids.iter().zip(results).enumerate() {
+            model
+                .priors
+                .insert(folded.point_qi(id as usize).into(), (base + i as u64, dist));
         }
-        for (&id, dist) in dirty_ids.iter().zip(results) {
-            model.priors.insert(
-                folded.point_qi(id as usize).into(),
-                dist.expect("filled above"),
-            );
+        if !same_bits(&fallback, &model.table_distribution) {
+            model.table_distribution = fallback;
+            model.table_distribution_id = fresh_prior_ids(1);
         }
-        model.table_distribution = fallback;
         if std::env::var("BGK_PROFILE").is_ok() {
             eprintln!(
-                "refresh: points={} changed={} dirty={} fold={:?} index={:?} mark={:?} \
-                 recompute={:?}",
+                "refresh: points={} changed={} dirty={} index={:?} mark={:?} recompute={:?}",
                 folded.len(),
                 changed.len(),
                 dirty_ids.len(),
                 t1 - t0,
                 t2 - t1,
-                t3 - t2,
-                t3.elapsed(),
+                t2.elapsed(),
             );
         }
         model.folded = Some(folded);
@@ -1804,8 +1996,14 @@ mod tests {
         let t = hospital();
         let est = PriorEstimator::new(Arc::clone(t.schema()), Bandwidth::uniform(0.3, 2).unwrap());
         let built = est.estimate(&t);
-        let mut bare =
-            PriorModel::from_parts(built.priors.clone(), built.table_distribution().clone());
+        let mut bare = PriorModel::from_parts(
+            built
+                .priors
+                .iter()
+                .map(|(k, (_, p))| (k.clone(), p.clone()))
+                .collect(),
+            built.table_distribution().clone(),
+        );
         assert!(!bare.is_refreshable());
         est.refresh(&mut bare, &t, &Delta::empty(Arc::clone(t.schema())));
     }

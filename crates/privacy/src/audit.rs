@@ -23,7 +23,7 @@
 //!   process-wide [`shared_pool`](bgkanon_data::shared_pool)
 //!   that share the one `Arc<Adversary>` prior model, posterior/permanent
 //!   evaluations are memoized under a *group signature* (the sequence of
-//!   prior identities plus the sensitive histogram — two groups with the
+//!   stable prior ids plus the sensitive histogram — two groups with the
 //!   same signature provably have the same risks), and the Ω-estimate runs
 //!   through the allocation-free kernels of `bgkanon_inference::omega` with
 //!   per-worker scratch buffers. Risks are bit-identical to the reference
@@ -31,7 +31,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use bgkanon_data::{Layout, Parallelism, Table};
 use bgkanon_inference::{
@@ -161,6 +161,16 @@ impl Auditor {
         self.exact_below
     }
 
+    /// True when this auditor maps every group signature to the same
+    /// risks as one with `measure` and `exact_below` — the condition under
+    /// which a signature memo may move from one auditor to the other.
+    /// Signatures carry prior ids, which pin the prior values; the measure
+    /// instance and the exact-inference cutoff are the rest of the solve.
+    fn solves_like(&self, measure: &Arc<dyn BeliefDistance>, exact_below: usize) -> bool {
+        std::ptr::addr_eq(Arc::as_ptr(&self.measure), Arc::as_ptr(measure))
+            && self.exact_below == exact_below
+    }
+
     /// Disclosure risk of every tuple under the published `groups`
     /// (disjoint row-index sets covering the table).
     ///
@@ -233,11 +243,11 @@ impl Auditor {
 
         // One prior resolution per distinct point, not per row.
         let mut qi = Vec::with_capacity(d);
-        let priors_by_point: Vec<&Dist> = reps
+        let priors_by_point: Vec<(u64, &Dist)> = reps
             .iter()
             .map(|&r| {
                 table.qi_into(r as usize, &mut qi);
-                self.adversary.prior(&qi)
+                self.adversary.prior_entry(&qi)
             })
             .collect();
 
@@ -251,9 +261,9 @@ impl Auditor {
             scratch.priors.clear();
             scratch.prior_ids.clear();
             for &r in rows {
-                let p = priors_by_point[point_of[r] as usize];
+                let (id, p) = priors_by_point[point_of[r] as usize];
                 scratch.priors.push(p);
-                scratch.prior_ids.push(std::ptr::from_ref(p) as u64);
+                scratch.prior_ids.push(id);
             }
             table.sensitive_counts_into(rows, &mut scratch.counts);
             scratch.signature.clear();
@@ -403,14 +413,17 @@ impl Auditor {
         }
     }
 
-    /// Resolve a group's priors, prior identities, sensitive histogram and
-    /// memo signature into `scratch`.
+    /// Resolve a group's priors, prior ids, sensitive histogram and memo
+    /// signature into `scratch`.
     ///
-    /// Each member's prior is resolved once, against the shared model. The
-    /// model is immutable for the duration of the audit, so a prior's
-    /// address identifies it: equal addresses ⇒ the very same `Dist`.
+    /// Each member's prior is resolved once, against the shared model,
+    /// together with its stable id ([`Adversary::prior_entry`]): equal ids
+    /// ⇒ bit-identical priors, in this model and in every other model of
+    /// the process. Unlike an address, an id is never reused after the
+    /// prior it named is refreshed away, so signatures stay valid across
+    /// model versions ([`AuditSession::successor`]).
     ///
-    /// The group signature is the *sequence* of prior identities plus the
+    /// The group signature is the *sequence* of prior ids plus the
     /// sensitive histogram. The sequence (not just the multiset) matters
     /// because the reference path accumulates column sums — and the exact
     /// path its permanent DP — in row order, so only an order-preserving
@@ -420,9 +433,9 @@ impl Auditor {
         scratch.prior_ids.clear();
         for &r in rows {
             table.qi_into(r, &mut scratch.qi_buf);
-            let p = self.adversary.prior(&scratch.qi_buf);
+            let (id, p) = self.adversary.prior_entry(&scratch.qi_buf);
             scratch.priors.push(p);
-            scratch.prior_ids.push(std::ptr::from_ref(p) as u64);
+            scratch.prior_ids.push(id);
         }
         table.sensitive_counts_into(rows, &mut scratch.counts);
 
@@ -619,7 +632,7 @@ fn cache_entry_bytes(key_words: usize, risk_count: usize) -> usize {
 struct AuditScratch<'a> {
     /// Borrowed priors of the current group, in row order.
     priors: Vec<&'a Dist>,
-    /// Address identity of each prior.
+    /// Stable id of each prior.
     prior_ids: Vec<u64>,
     /// Sensitive histogram of the current group.
     counts: Vec<u32>,
@@ -636,6 +649,7 @@ struct AuditScratch<'a> {
 
 /// One entry of an [`AuditSession`] cache, tagged with the generation of
 /// the report that last used it so stale entries can be evicted.
+#[derive(Clone)]
 struct CacheEntry {
     generation: u64,
     risks: Arc<Vec<f64>>,
@@ -659,6 +673,13 @@ struct CacheEntry {
 /// Invalidation is explicit and keyed by the dirty partitions: after each
 /// report, entries not used by that report are dropped, so dissolved groups
 /// do not accumulate.
+///
+/// When the adversary model itself moves to a new version,
+/// [`successor`](Self::successor) carries the signature memo (and the
+/// prepared-prior cache) over to the new auditor: signatures name priors
+/// by stable id, so an entry whose priors all survived the refresh
+/// replays bit-identically, and one that names a recomputed prior can
+/// never match again and ages out.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -689,9 +710,15 @@ pub struct AuditSession {
 }
 
 impl AuditSession {
+    /// Generations a signature-memo entry survives unused: a stamp-served
+    /// group never touches its memo entry, yet its signature comes straight
+    /// back when a later delta rebuilds an equal-content group — evicting
+    /// eagerly would turn that replay into a full Ω recomputation.
+    const MEMO_GRACE: u64 = 8;
+
     /// Open a session around `auditor`. The auditor's adversary model is
-    /// pinned for the session's lifetime — prior identities (and therefore
-    /// cached signatures) stay valid across reports.
+    /// pinned for the session's lifetime — prior ids (and therefore cached
+    /// signatures) stay valid across reports.
     pub fn new(auditor: Auditor) -> Self {
         AuditSession {
             auditor,
@@ -699,6 +726,44 @@ impl AuditSession {
             stamps: HashMap::new(),
             prepared: HashMap::new(),
             generation: 0,
+        }
+    }
+
+    /// Move this session onto the next version of its adversary: `next`
+    /// receives the retired auditor by value and returns its successor.
+    /// Drop the retired auditor inside `next` before mutating the model it
+    /// shares, so [`Arc::make_mut`] can refresh the model in place.
+    ///
+    /// When the successor uses the same measure instance and
+    /// exact-inference cutoff, the signature memo and the prepared-prior
+    /// cache carry over: both are keyed by stable prior ids, and a prior
+    /// keeps its id only while its value is unchanged, so every carried
+    /// entry is still exactly what a fresh audit computes. Carried entries
+    /// start a grace window old, so the first report of the new version
+    /// keeps exactly the ones it replays — an entry naming a recomputed
+    /// prior can never match again. The stamp cache is dropped — a stamp
+    /// names a group's rows, not its priors, and the priors under an
+    /// unchanged group may have been recomputed. With a different measure
+    /// or cutoff the successor starts cold.
+    pub fn successor(self, next: impl FnOnce(Auditor) -> Auditor) -> AuditSession {
+        let AuditSession {
+            auditor,
+            memo,
+            prepared,
+            generation,
+            ..
+        } = self;
+        let (measure, exact_below) = (Arc::clone(&auditor.measure), auditor.exact_below);
+        let auditor = next(auditor);
+        if !auditor.solves_like(&measure, exact_below) {
+            return AuditSession::new(auditor);
+        }
+        AuditSession {
+            auditor,
+            memo,
+            stamps: HashMap::new(),
+            prepared,
+            generation: generation + Self::MEMO_GRACE,
         }
     }
 
@@ -849,14 +914,10 @@ impl AuditSession {
         self.prepared = std::mem::take(&mut scratch.prepared);
         // Explicit invalidation, keyed by the dirty partitions. Stamps are
         // dropped as soon as the partition stops producing them (the leaf
-        // was dissolved or re-stamped). Signature entries get a small grace
-        // window: a stamp-served group never touches its memo entry, yet
-        // its signature comes straight back when a later delta rebuilds an
-        // equal-content group — evicting eagerly would turn that replay
-        // into a full Ω recomputation.
-        const MEMO_GRACE: u64 = 8;
+        // was dissolved or re-stamped); signature entries get the
+        // `MEMO_GRACE` window.
         self.memo
-            .retain(|_, e| e.generation + MEMO_GRACE >= generation);
+            .retain(|_, e| e.generation + Self::MEMO_GRACE >= generation);
         self.stamps.retain(|_, e| e.generation == generation);
         self.auditor.assemble_report(risks, t)
     }
@@ -875,7 +936,7 @@ struct SharedCaches {
 /// published snapshots while a writer keeps applying deltas.
 ///
 /// Semantics match [`AuditSession`]: the wrapped [`Auditor`] embodies one
-/// fixed adversary model (prior identities stay valid for the session's
+/// fixed adversary model (prior ids stay valid for the session's
 /// lifetime), and two cache levels replay group risks **bit-identically**
 /// to a fresh audit — a signature memo and a caller-stamped fast path. The
 /// stamp contract carries over unchanged: a stamp must change whenever the
@@ -943,6 +1004,54 @@ impl SharedAuditSession {
         }
     }
 
+    /// The shared counterpart of [`AuditSession::successor`]: move the
+    /// session onto the next version of its adversary, carrying the
+    /// signature memo when the successor auditor uses the same measure
+    /// instance and exact-inference cutoff, and dropping the stamp cache.
+    ///
+    /// Takes the session's `Arc`. When it is the last handle, the memo
+    /// moves and `next` receives the one retired auditor; while another
+    /// reader still holds the session, the memo is copied and `next`
+    /// receives a clone of the auditor — so a model refreshed through
+    /// [`Arc::make_mut`] inside `next` is cloned exactly when an in-flight
+    /// reader still audits against it. As in the single-owner form,
+    /// carried entries start a grace window old, so the first report of
+    /// the new version keeps exactly the ones it replays.
+    pub fn successor(
+        this: Arc<SharedAuditSession>,
+        next: impl FnOnce(Auditor) -> Auditor,
+    ) -> SharedAuditSession {
+        let (auditor, memo, generation) = match Arc::try_unwrap(this) {
+            Ok(session) => {
+                let caches = session
+                    .caches
+                    .into_inner()
+                    .unwrap_or_else(PoisonError::into_inner);
+                (session.auditor, caches.memo, caches.generation)
+            }
+            Err(shared) => {
+                let (memo, generation) = {
+                    let caches = shared.caches.lock().unwrap_or_else(PoisonError::into_inner);
+                    (caches.memo.clone(), caches.generation)
+                };
+                (shared.auditor.clone(), memo, generation)
+            }
+        };
+        let (measure, exact_below) = (Arc::clone(&auditor.measure), auditor.exact_below);
+        let auditor = next(auditor);
+        if !auditor.solves_like(&measure, exact_below) {
+            return SharedAuditSession::new(auditor);
+        }
+        SharedAuditSession {
+            auditor,
+            caches: Mutex::new(SharedCaches {
+                memo,
+                stamps: HashMap::new(),
+                generation: generation + Self::MEMO_GRACE,
+            }),
+        }
+    }
+
     /// The wrapped auditor.
     pub fn auditor(&self) -> &Auditor {
         &self.auditor
@@ -989,6 +1098,16 @@ impl SharedAuditSession {
     pub fn evict_caches(&self) {
         if let Ok(mut caches) = self.caches.lock() {
             caches.memo.clear();
+            caches.stamps.clear();
+        }
+    }
+
+    /// Drop the stamp cache only, keeping the signature memo — what a
+    /// session retired by a newer model version still offers its
+    /// [`successor`](Self::successor). Safe at any time, like
+    /// [`evict_caches`](Self::evict_caches).
+    pub fn evict_stamps(&self) {
+        if let Ok(mut caches) = self.caches.lock() {
             caches.stamps.clear();
         }
     }
@@ -1455,6 +1574,63 @@ mod tests {
         }
         assert_eq!(shared.cached_stamps(), 1);
         assert!(shared.cached_signatures() <= 1);
+    }
+
+    #[test]
+    fn successor_carries_the_memo_only_under_the_same_solver() {
+        let t = toy::hospital_table();
+        let groups = toy::hospital_groups();
+        let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
+        let fresh = auditor(&t, 0.3).report(&t, &groups, 0.1);
+        let same = |a: &AuditReport| {
+            for (x, y) in fresh.risks.iter().zip(&a.risks) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        };
+
+        let mut session = AuditSession::new(auditor(&t, 0.3));
+        session.report_stamped(&t, &groups, Some(&[1, 2, 3]), 0.1);
+        let signatures = session.cached_signatures();
+        let session = session.successor(|retired| retired);
+        assert_eq!(session.cached_signatures(), signatures);
+        assert_eq!(session.cached_stamps(), 0);
+        let mut session = session.successor(|retired| retired.use_exact_below(4));
+        assert_eq!(session.cached_signatures(), 0);
+        let exact = auditor(&t, 0.3).use_exact_below(4).report(&t, &groups, 0.1);
+        let rep = session.report(&t, &groups, 0.1);
+        assert_eq!(rep.worst_case.to_bits(), exact.worst_case.to_bits());
+
+        // The shared form: a sole handle moves the memo, a shared one
+        // copies it and leaves the other holder's session intact.
+        let shared = Arc::new(SharedAuditSession::new(auditor(&t, 0.3)));
+        shared.report_groups(&t, &slices, Some(&[1, 2, 3]), 0.1);
+        let signatures = shared.cached_signatures();
+        let held = Arc::clone(&shared);
+        let next = SharedAuditSession::successor(shared, |retired| retired);
+        assert_eq!(next.cached_signatures(), signatures);
+        assert_eq!(next.cached_stamps(), 0);
+        assert_eq!(held.cached_stamps(), 3);
+        same(&next.report_groups(&t, &slices, None, 0.1));
+        same(&held.report_groups(&t, &slices, Some(&[1, 2, 3]), 0.1));
+        let measure: Arc<dyn BeliefDistance> =
+            Arc::new(SmoothedJs::paper_default(t.schema().sensitive_distance()));
+        let cold = SharedAuditSession::successor(held, |retired| {
+            Auditor::new(Arc::clone(retired.adversary()), measure)
+        });
+        assert_eq!(cold.cached_signatures(), 0);
+        same(&cold.report_groups(&t, &slices, None, 0.1));
+    }
+
+    #[test]
+    fn carried_entries_not_replayed_by_the_next_report_are_dropped() {
+        let t = toy::hospital_table();
+        let groups = toy::hospital_groups();
+        let mut session = AuditSession::new(auditor(&t, 0.3));
+        session.report(&t, &groups, 0.1);
+        assert!(session.cached_signatures() >= 3);
+        let mut session = session.successor(|retired| retired);
+        session.report(&t, &groups[..1], 0.1);
+        assert_eq!(session.cached_signatures(), 1);
     }
 
     #[test]

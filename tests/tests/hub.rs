@@ -13,6 +13,11 @@
 //! * every concurrent audit observation, at whatever version the reader
 //!   happened to catch, equals the reference audit of that version bit for
 //!   bit.
+//!
+//! The `Adv(b′)` version-chain tests hold every `audit_against` report to a
+//! fresh `Parallelism::Serial` audit of the same version — with audits
+//! skipped on some versions, readers racing one version's miss, eviction
+//! mid-chain, and tenants that share one interned model until one diverges.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -292,4 +297,176 @@ fn hub_readers_pin_versions_while_writers_advance() {
     for (a, b) in of_pinned.risks.iter().zip(&of_original.risks) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
+}
+
+/// The reference every `audit_against(B_PRIME, THRESHOLD)` report must
+/// equal: `Adv(B_PRIME)` estimated from scratch on the snapshot's table and
+/// a fresh serial audit of its groups.
+fn assert_fresh_serial(report: &AuditReport, snapshot: &TenantSnapshot, context: &str) {
+    let table = snapshot.table();
+    let expected = tenant_auditor(table).report_with(
+        table,
+        &snapshot.anonymized().row_groups(),
+        THRESHOLD,
+        Parallelism::Serial,
+    );
+    assert_eq!(report.risks.len(), expected.risks.len(), "{context}");
+    for (row, (a, b)) in report.risks.iter().zip(&expected.risks).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{context}: risk of row {row}");
+    }
+    assert_eq!(
+        report.worst_case.to_bits(),
+        expected.worst_case.to_bits(),
+        "{context}"
+    );
+    assert_eq!(report.mean.to_bits(), expected.mean.to_bits(), "{context}");
+    assert_eq!(report.vulnerable, expected.vulnerable, "{context}");
+}
+
+/// Apply one random delta to `tenant` and return the new snapshot.
+fn step(hub: &SessionHub, tenant: &str, rng: &mut SmallRng) -> Arc<TenantSnapshot> {
+    let current = hub.snapshot(tenant).expect("registered").table().clone();
+    hub.apply(tenant, &random_delta(&current, rng))
+        .expect("valid delta")
+}
+
+#[test]
+fn adv_chain_matches_fresh_serial_audits_across_skipped_versions() {
+    let hub = SessionHub::new();
+    hub.register("t", &tenant_table(0), &Publisher::new().k_anonymity(K))
+        .expect("satisfiable");
+    let mut rng = SmallRng::seed_from_u64(SEED ^ 1);
+    let audited = [0u64, 1, 4, 5, 8];
+    for version in 0..=8u64 {
+        let snapshot = if version == 0 {
+            hub.snapshot("t").expect("registered")
+        } else {
+            step(&hub, "t", &mut rng)
+        };
+        if audited.contains(&version) {
+            let context = format!("version {version}");
+            let report = hub
+                .audit_against("t", B_PRIME, THRESHOLD)
+                .expect("registered");
+            assert_fresh_serial(&report, &snapshot, &context);
+            // A repeat audit of the same version replays the cached chain.
+            let replay = hub
+                .audit_against("t", B_PRIME, THRESHOLD)
+                .expect("registered");
+            assert_fresh_serial(&replay, &snapshot, &context);
+        }
+    }
+}
+
+#[test]
+fn adv_chain_readers_racing_one_version_miss_match_fresh_serial_audits() {
+    let hub = SessionHub::new();
+    hub.register("t", &tenant_table(1), &Publisher::new().k_anonymity(K))
+        .expect("satisfiable");
+    hub.audit_against("t", B_PRIME, THRESHOLD)
+        .expect("registered");
+    let mut rng = SmallRng::seed_from_u64(SEED ^ 2);
+    for round in 0..3 {
+        let snapshot = step(&hub, "t", &mut rng);
+        // Every racer misses the new version at once: one takes the chain
+        // base, the others build without it; all must agree.
+        let reports: Vec<AuditReport> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..READERS + 1)
+                .map(|_| scope.spawn(|| hub.audit_against("t", B_PRIME, THRESHOLD)))
+                .collect();
+            racers
+                .into_iter()
+                .map(|r| r.join().expect("racer").expect("registered"))
+                .collect()
+        });
+        for (i, report) in reports.iter().enumerate() {
+            assert_fresh_serial(report, &snapshot, &format!("round {round} racer {i}"));
+        }
+    }
+}
+
+#[test]
+fn adv_chain_survives_eviction_mid_chain_on_a_budgeted_hub() {
+    let dir = std::env::temp_dir().join(format!("bgkanon_hub_chain_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = bgkanon::DurabilityOptions {
+        sync: bgkanon::SyncPolicy::Never,
+        checkpoint_every: 2,
+        verify_on_open: false,
+        max_resident_bytes: Some(1),
+    };
+    let (hub, _) = SessionHub::open_with(&dir, options).expect("open durable hub");
+    let names = ["a", "b", "c"];
+    for (i, name) in names.iter().enumerate() {
+        hub.register(name, &tenant_table(i), &Publisher::new().k_anonymity(K))
+            .expect("satisfiable");
+    }
+    let mut rng = SmallRng::seed_from_u64(SEED ^ 3);
+    for round in 0..3 {
+        for name in names {
+            // A 1-byte budget demotes every other tenant on each call: a
+            // tenant's first release of a round rehydrates it with no
+            // chain, the second refreshes along the chain the first built.
+            for release in 0..2 {
+                let snapshot = step(&hub, name, &mut rng);
+                let report = hub
+                    .audit_against(name, B_PRIME, THRESHOLD)
+                    .expect("registered");
+                let context = format!("{name} round {round} release {release}");
+                assert_fresh_serial(&report, &snapshot, &context);
+            }
+        }
+    }
+    let stats = hub.memory_stats();
+    assert!(stats.evictions > 0 && stats.rehydrations > 0, "{stats:?}");
+    drop(hub);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn adv_chain_clones_a_shared_interned_model_before_diverging() {
+    let hub = SessionHub::new();
+    let table = tenant_table(2);
+    for name in ["a", "b"] {
+        hub.register(name, &table, &Publisher::new().k_anonymity(K))
+            .expect("satisfiable");
+    }
+    let b_before = hub
+        .audit_against("b", B_PRIME, THRESHOLD)
+        .expect("registered");
+    hub.audit_against("a", B_PRIME, THRESHOLD)
+        .expect("registered");
+    let stats = hub.memory_stats();
+    assert_eq!((stats.interned_models, stats.intern_hits), (1, 1));
+
+    // `a` diverges: its chain refreshes the model `b` still shares, which
+    // must be cloned — `b` keeps being served its own version's risks.
+    let mut rng = SmallRng::seed_from_u64(SEED ^ 4);
+    let a1 = step(&hub, "a", &mut rng);
+    let report = hub
+        .audit_against("a", B_PRIME, THRESHOLD)
+        .expect("registered");
+    assert_fresh_serial(&report, &a1, "a after diverging");
+    let b_after = hub
+        .audit_against("b", B_PRIME, THRESHOLD)
+        .expect("registered");
+    let b0 = hub.snapshot("b").expect("registered");
+    assert_fresh_serial(&b_after, &b0, "b after a diverged");
+    for (x, y) in b_before.risks.iter().zip(&b_after.risks) {
+        assert_eq!(x.to_bits(), y.to_bits());
+    }
+
+    // `b` follows with the same delta: its content meets `a`'s again, so
+    // its chain takes the interned model instead of refreshing its own.
+    let delta = {
+        let mut rng = SmallRng::seed_from_u64(SEED ^ 4);
+        random_delta(b0.table(), &mut rng)
+    };
+    let b1 = hub.apply("b", &delta).expect("valid delta");
+    let hits = hub.memory_stats().intern_hits;
+    let report = hub
+        .audit_against("b", B_PRIME, THRESHOLD)
+        .expect("registered");
+    assert_eq!(hub.memory_stats().intern_hits, hits + 1);
+    assert_fresh_serial(&report, &b1, "b after converging");
 }
