@@ -9,8 +9,9 @@
 //! leftover tuples join existing buckets that do not yet contain their
 //! value.
 //!
-//! [`Bucketize`] wraps the construction as an
-//! [`AnonymizationStrategy`]: the retained [`BucketizeState`] keeps the
+//! [`Bucketize`] wraps the construction as a publishing strategy
+//! ([`Strategy::Bucketize`](crate::Strategy::Bucketize)): the retained
+//! [`BucketizeState`] keeps the
 //! bucket membership and its group stamps alive between deltas. A refresh
 //! re-runs the greedy (it is `O(n)` and the assignment depends on the
 //! global sensitive histogram, so there is no cheaper path that stays
@@ -18,10 +19,10 @@
 //! survived unchanged — the churn-limited half of incremental maintenance,
 //! which is what keeps downstream audit caches warm.
 
-use bgkanon_data::{Parallelism, Table};
+use bgkanon_data::Table;
 
 use crate::anonymized::{AnonymizedTable, Group};
-use crate::strategy::{reuse_stamps, AnonymizationStrategy, Infeasible, StrategyState};
+use crate::strategy::{reuse_stamps, Infeasible};
 
 /// Compute the ℓ-diverse bucket membership of `table`, or report why none
 /// exists. This is the deterministic core both [`try_bucketize`] and the
@@ -115,13 +116,6 @@ pub fn try_bucketize(table: &Table, l: usize) -> Result<AnonymizedTable, Infeasi
     Ok(AnonymizedTable::new(table, groups))
 }
 
-/// Bucketize `table` into ℓ-diverse buckets, discarding the infeasibility
-/// reason.
-#[deprecated(note = "use `try_bucketize`, which reports why no ℓ-diverse partition exists")]
-pub fn bucketize(table: &Table, l: usize) -> Option<AnonymizedTable> {
-    try_bucketize(table, l).ok()
-}
-
 /// Anatomy bucketization as a session strategy, parameterized by ℓ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bucketize {
@@ -139,11 +133,41 @@ impl Bucketize {
     pub fn l(&self) -> usize {
         self.l
     }
+
+    /// Build the bucket membership for `table` from scratch. The greedy is
+    /// O(n) and inherently sequential (each bucket's pick depends on the
+    /// queues the previous bucket left), so there is no parallel engine.
+    pub fn plant(&self, table: &Table) -> Result<BucketizeState, Infeasible> {
+        Ok(BucketizeState::from_buckets(bucketize_rows(table, self.l)?))
+    }
+
+    /// Evolve `state` to the post-delta table `new` (`deletes` index the
+    /// pre-delta table). On `Err` the state is unchanged.
+    pub fn refresh(
+        &self,
+        state: &mut BucketizeState,
+        new: &Table,
+        deletes: &[usize],
+    ) -> Result<(), Infeasible> {
+        // Compute the post-delta membership before touching the state so an
+        // infeasible delta leaves it fully usable (error atomicity).
+        let buckets = bucketize_rows(new, self.l)?;
+        let stamps = reuse_stamps(
+            &state.buckets,
+            &state.stamps,
+            deletes,
+            &buckets,
+            &mut state.next_stamp,
+        );
+        state.buckets = buckets;
+        state.stamps = stamps;
+        Ok(())
+    }
 }
 
 /// Retained state of the [`Bucketize`] strategy: the current bucket
 /// membership plus one stamp per bucket (see
-/// [`StrategyState::snapshot`] for the stamp contract).
+/// [`Planted::snapshot`](crate::Planted::snapshot) for the stamp contract).
 #[derive(Debug, Clone)]
 pub struct BucketizeState {
     buckets: Vec<Vec<usize>>,
@@ -172,10 +196,10 @@ impl BucketizeState {
     pub fn buckets(&self) -> &[Vec<usize>] {
         &self.buckets
     }
-}
 
-impl StrategyState for BucketizeState {
-    fn snapshot(&self, table: &Table) -> (AnonymizedTable, Vec<u64>) {
+    /// The publication this membership induces on `table`, with one stamp
+    /// per bucket.
+    pub fn snapshot(&self, table: &Table) -> (AnonymizedTable, Vec<u64>) {
         let groups = self
             .buckets
             .iter()
@@ -184,57 +208,10 @@ impl StrategyState for BucketizeState {
         (AnonymizedTable::new(table, groups), self.stamps.clone())
     }
 
-    fn bytes_accounted(&self) -> usize {
+    /// Heap bytes held resident.
+    pub fn bytes_accounted(&self) -> usize {
         let rows: usize = self.buckets.iter().map(|b| b.len() * 8 + 24).sum();
         rows + self.stamps.len() * 8
-    }
-}
-
-impl AnonymizationStrategy for Bucketize {
-    type State = BucketizeState;
-
-    fn name(&self) -> &'static str {
-        "bucketize"
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "bucketize (Anatomy): ≥ {} distinct sensitive values per bucket, QI published verbatim",
-            self.l
-        )
-    }
-
-    fn plant_with(
-        &self,
-        table: &Table,
-        _parallelism: Parallelism,
-    ) -> Result<BucketizeState, Infeasible> {
-        // The greedy is O(n) and inherently sequential (each bucket's pick
-        // depends on the queues the previous bucket left); every
-        // parallelism setting runs the same serial construction.
-        Ok(BucketizeState::from_buckets(bucketize_rows(table, self.l)?))
-    }
-
-    fn refresh(
-        &self,
-        state: &mut BucketizeState,
-        _old: &Table,
-        new: &Table,
-        deletes: &[usize],
-    ) -> Result<(), Infeasible> {
-        // Compute the post-delta membership before touching the state so an
-        // infeasible delta leaves it fully usable (error atomicity).
-        let buckets = bucketize_rows(new, self.l)?;
-        let stamps = reuse_stamps(
-            &state.buckets,
-            &state.stamps,
-            deletes,
-            &buckets,
-            &mut state.next_stamp,
-        );
-        state.buckets = buckets;
-        state.stamps = stamps;
-        Ok(())
     }
 }
 
@@ -269,18 +246,6 @@ mod tests {
         let err = try_bucketize(&t, 4).unwrap_err();
         assert!(err.reason.contains("4-diverse"));
         assert!(try_bucketize(&t, 3).is_ok());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_matches_try_bucketize() {
-        let t = toy::hospital_table();
-        assert!(bucketize(&t, 4).is_none());
-        let shim = bucketize(&t, 3).unwrap();
-        let typed = try_bucketize(&t, 3).unwrap();
-        for (a, b) in shim.groups().iter().zip(typed.groups()) {
-            assert_eq!(a.rows, b.rows);
-        }
     }
 
     #[test]
@@ -347,7 +312,7 @@ mod tests {
         let delta = b.build();
         let next = t.apply_delta(&delta).unwrap();
         strategy
-            .refresh(&mut state, &t, &next, delta.deletes())
+            .refresh(&mut state, &next, delta.deletes())
             .unwrap();
 
         let (at, after) = state.snapshot(&next);
@@ -402,7 +367,7 @@ mod tests {
             panic!("fixture no longer produces an infeasible delta");
         }
         let err = strategy
-            .refresh(&mut state, &t, &next, delta.deletes())
+            .refresh(&mut state, &next, delta.deletes())
             .unwrap_err();
         assert!(err.reason.contains("3-diverse"));
         let (after_at, after_stamps) = state.snapshot(&t);

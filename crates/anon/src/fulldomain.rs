@@ -20,22 +20,22 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bgkanon_data::{AttributeKind, Parallelism, Table};
+use bgkanon_data::{AttributeKind, Table};
 use bgkanon_privacy::{GroupView, PrivacyRequirement};
 
 use crate::anonymized::{AnonymizedTable, Group};
-use crate::strategy::{reuse_stamps, AnonymizationStrategy, Infeasible, StrategyState};
+use crate::strategy::{reuse_stamps, Infeasible};
 
 /// One point of the generalization lattice: a level per QI attribute.
 pub type Levels = Vec<u32>;
 
 /// The full-domain generalizer.
 pub struct FullDomain {
-    requirement: Arc<dyn PrivacyRequirement>,
+    pub(crate) requirement: Arc<dyn PrivacyRequirement>,
     /// Treat the requirement as monotone under generalization (enables
     /// minimal-vector pruning). True for k-anonymity and distinct
     /// ℓ-diversity; set false for (B,t)-privacy or t-closeness.
-    monotone: bool,
+    pub(crate) monotone: bool,
 }
 
 /// Result of a full-domain run.
@@ -200,27 +200,104 @@ impl FullDomain {
     /// the lattice (everything generalized to one group) fails, or when
     /// the table is empty.
     pub fn try_anonymize(&self, table: &Table) -> Result<FullDomainOutcome, Infeasible> {
+        let state = self.plant(table)?;
+        let (anonymized, _) = state.snapshot(table);
+        Ok(FullDomainOutcome {
+            levels: state.levels,
+            anonymized,
+            nodes_checked: state.nodes_checked,
+        })
+    }
+
+    /// Search the lattice from scratch and retain the frontier, the chosen
+    /// level vector and its partition. The sweep is oracle-bound and
+    /// sequential (each skip depends on the minimal vectors found so far),
+    /// so there is no parallel engine.
+    pub fn plant(&self, table: &Table) -> Result<FullDomainState, Infeasible> {
         if table.is_empty() {
             return Err(Infeasible::new("cannot anonymize an empty table"));
         }
         let (minimal, checked) = self.sweep(table, &[], &[]);
         let levels = Self::choose(table, &minimal).ok_or_else(|| self.top_fails())?;
-        let groups = Self::partition(table, &levels)
-            .into_iter()
-            .map(|rows| Group::from_rows(table, rows))
-            .collect();
-        Ok(FullDomainOutcome {
+        let groups = Self::partition(table, &levels);
+        let stamps = (0..groups.len() as u64).collect();
+        let next_stamp = groups.len() as u64;
+        Ok(FullDomainState {
             levels,
-            anonymized: AnonymizedTable::new(table, groups),
+            minimal,
+            groups,
+            stamps,
+            next_stamp,
             nodes_checked: checked,
         })
     }
 
-    /// Search the lattice and return the best outcome, discarding the
-    /// infeasibility reason.
-    #[deprecated(note = "use `try_anonymize`, which reports why no level vector satisfies")]
-    pub fn anonymize(&self, table: &Table) -> Option<FullDomainOutcome> {
-        self.try_anonymize(table).ok()
+    /// Evolve `state` to the post-delta table `new` (`deletes` index the
+    /// pre-delta table), bit-identically to a from-scratch
+    /// [`plant`](Self::plant). On `Err` the state is unchanged.
+    pub fn refresh(
+        &self,
+        state: &mut FullDomainState,
+        new: &Table,
+        deletes: &[usize],
+    ) -> Result<(), Infeasible> {
+        if new.is_empty() {
+            return Err(Infeasible::new("cannot anonymize an empty table"));
+        }
+        let (minimal, checked) = if self.monotone {
+            // Seed the re-sweep from where the answer was last time: the
+            // old frontier and its lower covers. For a monotone
+            // requirement a 1%-delta rarely moves the frontier, so the
+            // probes answer almost the whole lattice — every node above a
+            // still-satisfying frontier vector is satisfied, every node
+            // below a still-failing lower cover fails — leaving oracle
+            // calls only for nodes incomparable to the entire frontier
+            // (and for whatever actually changed).
+            let mut seeds: Vec<Levels> = Vec::new();
+            for m in &state.minimal {
+                seeds.push(m.clone());
+                for i in 0..m.len() {
+                    if m[i] > 0 {
+                        let mut cover = m.clone();
+                        cover[i] -= 1;
+                        seeds.push(cover);
+                    }
+                }
+            }
+            seeds.sort();
+            seeds.dedup();
+            let mut known_sat: Vec<Levels> = Vec::new();
+            let mut known_fail: Vec<Levels> = Vec::new();
+            for node in seeds {
+                if self.satisfies(new, &node) {
+                    known_sat.push(node);
+                } else {
+                    known_fail.push(node);
+                }
+            }
+            let probes = known_sat.len() + known_fail.len();
+            let (minimal, swept) = self.sweep(new, &known_sat, &known_fail);
+            (minimal, probes + swept)
+        } else {
+            // No monotonicity, no inference: the re-search is full price
+            // and only the stamp carry-over below is incremental.
+            self.sweep(new, &[], &[])
+        };
+        let levels = Self::choose(new, &minimal).ok_or_else(|| self.top_fails())?;
+        let groups = Self::partition(new, &levels);
+        let stamps = reuse_stamps(
+            &state.groups,
+            &state.stamps,
+            deletes,
+            &groups,
+            &mut state.next_stamp,
+        );
+        state.levels = levels;
+        state.minimal = minimal;
+        state.groups = groups;
+        state.stamps = stamps;
+        state.nodes_checked = checked;
+        Ok(())
     }
 
     fn top_fails(&self) -> Infeasible {
@@ -246,7 +323,7 @@ fn le(a: &[u32], b: &[u32]) -> bool {
 /// old frontier and its lower covers are re-probed against the new table,
 /// and the lattice re-sweep infers most nodes' satisfaction from those few
 /// probes instead of materializing their partitions (see
-/// [`AnonymizationStrategy::refresh`] on [`FullDomain`]).
+/// [`FullDomain::refresh`]).
 #[derive(Debug, Clone)]
 pub struct FullDomainState {
     levels: Levels,
@@ -319,10 +396,10 @@ impl FullDomainState {
             nodes_checked: 0,
         })
     }
-}
 
-impl StrategyState for FullDomainState {
-    fn snapshot(&self, table: &Table) -> (AnonymizedTable, Vec<u64>) {
+    /// The publication the chosen level vector induces on `table`, with
+    /// one stamp per group.
+    pub fn snapshot(&self, table: &Table) -> (AnonymizedTable, Vec<u64>) {
         let groups = self
             .groups
             .iter()
@@ -331,122 +408,11 @@ impl StrategyState for FullDomainState {
         (AnonymizedTable::new(table, groups), self.stamps.clone())
     }
 
-    fn bytes_accounted(&self) -> usize {
+    /// Heap bytes held resident.
+    pub fn bytes_accounted(&self) -> usize {
         let groups: usize = self.groups.iter().map(|g| g.len() * 8 + 24).sum();
         let frontier: usize = self.minimal.iter().map(|v| v.len() * 4 + 24).sum();
         groups + frontier + self.levels.len() * 4 + self.stamps.len() * 8
-    }
-}
-
-impl AnonymizationStrategy for FullDomain {
-    type State = FullDomainState;
-
-    fn name(&self) -> &'static str {
-        "fulldomain"
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "full-domain generalization ({}) enforcing {}",
-            if self.monotone {
-                "monotone minimal-vector search"
-            } else {
-                "exhaustive lattice search"
-            },
-            self.requirement.name()
-        )
-    }
-
-    fn plant_with(
-        &self,
-        table: &Table,
-        _parallelism: Parallelism,
-    ) -> Result<FullDomainState, Infeasible> {
-        // The lattice sweep is oracle-bound and sequential (each skip
-        // depends on the minimal vectors found so far); every parallelism
-        // setting runs the same serial search.
-        if table.is_empty() {
-            return Err(Infeasible::new("cannot anonymize an empty table"));
-        }
-        let (minimal, checked) = self.sweep(table, &[], &[]);
-        let levels = Self::choose(table, &minimal).ok_or_else(|| self.top_fails())?;
-        let groups = Self::partition(table, &levels);
-        let stamps = (0..groups.len() as u64).collect();
-        let next_stamp = groups.len() as u64;
-        Ok(FullDomainState {
-            levels,
-            minimal,
-            groups,
-            stamps,
-            next_stamp,
-            nodes_checked: checked,
-        })
-    }
-
-    fn refresh(
-        &self,
-        state: &mut FullDomainState,
-        _old: &Table,
-        new: &Table,
-        deletes: &[usize],
-    ) -> Result<(), Infeasible> {
-        if new.is_empty() {
-            return Err(Infeasible::new("cannot anonymize an empty table"));
-        }
-        let (minimal, checked) = if self.monotone {
-            // Seed the re-sweep from where the answer was last time: the
-            // old frontier and its lower covers. For a monotone
-            // requirement a 1%-delta rarely moves the frontier, so the
-            // probes answer almost the whole lattice — every node above a
-            // still-satisfying frontier vector is satisfied, every node
-            // below a still-failing lower cover fails — leaving oracle
-            // calls only for nodes incomparable to the entire frontier
-            // (and for whatever actually changed).
-            let mut seeds: Vec<Levels> = Vec::new();
-            for m in &state.minimal {
-                seeds.push(m.clone());
-                for i in 0..m.len() {
-                    if m[i] > 0 {
-                        let mut cover = m.clone();
-                        cover[i] -= 1;
-                        seeds.push(cover);
-                    }
-                }
-            }
-            seeds.sort();
-            seeds.dedup();
-            let mut known_sat: Vec<Levels> = Vec::new();
-            let mut known_fail: Vec<Levels> = Vec::new();
-            for node in seeds {
-                if self.satisfies(new, &node) {
-                    known_sat.push(node);
-                } else {
-                    known_fail.push(node);
-                }
-            }
-            let probes = known_sat.len() + known_fail.len();
-            let (minimal, swept) = self.sweep(new, &known_sat, &known_fail);
-            (minimal, probes + swept)
-        } else {
-            // No monotonicity, no inference: the re-search is full price
-            // and only the stamp carry-over below is incremental.
-            self.sweep(new, &[], &[])
-        };
-        let levels = Self::choose(new, &minimal).ok_or_else(|| self.top_fails())?;
-        let groups = Self::partition(new, &levels);
-        let stamps = reuse_stamps(
-            &state.groups,
-            &state.stamps,
-            deletes,
-            &groups,
-            &mut state.next_stamp,
-        );
-        state.levels = levels;
-        state.minimal = minimal;
-        state.groups = groups;
-        state.stamps = stamps;
-        state.nodes_checked = checked;
-        Ok(())
     }
 }
 
@@ -598,18 +564,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_matches_try_anonymize() {
-        let t = adult::generate(150, 10);
-        let fd = FullDomain::new_monotone(Arc::new(KAnonymity::new(4)));
-        let shim = fd.anonymize(&t).unwrap();
-        let typed = fd.try_anonymize(&t).unwrap();
-        assert_eq!(shim.levels, typed.levels);
-        let unsat = FullDomain::new_monotone(Arc::new(KAnonymity::new(100_000)));
-        assert!(unsat.anonymize(&t).is_none());
-    }
-
-    #[test]
     fn refresh_matches_from_scratch_after_deltas() {
         use bgkanon_data::DeltaBuilder;
         let t = adult::generate(300, 31);
@@ -629,8 +583,7 @@ mod tests {
                 }
                 let delta = b.build();
                 let next = table.apply_delta(&delta).unwrap();
-                fd.refresh(&mut state, &table, &next, delta.deletes())
-                    .unwrap();
+                fd.refresh(&mut state, &next, delta.deletes()).unwrap();
                 table = next;
             }
             let (at, _) = state.snapshot(&table);
@@ -659,7 +612,7 @@ mod tests {
             .unwrap();
         let delta = b.build();
         let next = t.apply_delta(&delta).unwrap();
-        fd.refresh(&mut state, &t, &next, delta.deletes()).unwrap();
+        fd.refresh(&mut state, &next, delta.deletes()).unwrap();
         assert!(
             state.nodes_checked() < replant_calls,
             "refresh made {} oracle calls, replant {}",
@@ -682,9 +635,7 @@ mod tests {
         }
         let delta = b.build();
         let next = t.apply_delta(&delta).unwrap();
-        let err = fd
-            .refresh(&mut state, &t, &next, delta.deletes())
-            .unwrap_err();
+        let err = fd.refresh(&mut state, &next, delta.deletes()).unwrap_err();
         assert!(err.reason.contains("6-anonymity"));
         let (after_at, after_stamps) = state.snapshot(&t);
         assert_eq!(before_stamps, after_stamps);

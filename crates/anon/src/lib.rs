@@ -18,11 +18,11 @@
 //!   generalization over the lattice of per-attribute levels (reference
 //!   \[34\]), for comparing local vs global recoding.
 //!
-//! All three publish through one contract, [`AnonymizationStrategy`]:
-//! a strategy plants a retained [`StrategyState`] on a table, refreshes it
-//! incrementally under deltas (bit-identical to a from-scratch plant), and
-//! snapshots the current publication with per-group cache stamps.
-//! [`AnyStrategy`] is the runtime-selected sum of the three.
+//! All three publish through one runtime choice, [`Strategy`] (named by
+//! [`Algorithm`]): planting a strategy on a table yields a [`Planted`]
+//! state that refreshes incrementally under deltas (bit-identical to a
+//! from-scratch plant) and snapshots the current publication with
+//! per-group cache stamps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,10 +35,8 @@ pub mod strategy;
 pub mod tree;
 
 pub use anonymized::{AnonymizedTable, Group, QiRange};
-#[allow(deprecated)]
-pub use bucketize::bucketize;
 pub use bucketize::{try_bucketize, Bucketize, BucketizeState};
 pub use fulldomain::{FullDomain, FullDomainOutcome, FullDomainState};
 pub use mondrian::{Mondrian, SplitDecision};
-pub use strategy::{AnonymizationStrategy, AnyState, AnyStrategy, Infeasible, StrategyState};
+pub use strategy::{Algorithm, Infeasible, Planted, Strategy};
 pub use tree::{PartitionTree, TreeNodeRecord};

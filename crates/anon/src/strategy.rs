@@ -1,23 +1,26 @@
-//! The strategy abstraction: one contract every anonymization algorithm
-//! publishes through.
+//! The strategy layer: the runtime choice of anonymization algorithm.
 //!
-//! A strategy is a pair of types: the algorithm itself (implementing
-//! [`AnonymizationStrategy`]) and its retained **state** (implementing
-//! [`StrategyState`]) — the data structure a publishing session keeps alive
-//! between deltas so republication is incremental. For Mondrian the state is
-//! the [`PartitionTree`]; for bucketization it is the bucket membership
-//! ([`BucketizeState`]); for full-domain
-//! generalization it is the satisfying frontier of the generalization
-//! lattice ([`FullDomainState`]).
+//! [`Algorithm`] names the choice; its [`name`](Algorithm::name) is the
+//! stable tag the CLI flag, the genesis file and the checkpoint use.
+//! [`Strategy`] carries one algorithm's parameters (Mondrian's requirement,
+//! bucketization's ℓ, full-domain's search mode). Planting it on a table
+//! yields a [`Planted`]: the algorithm paired with its retained **state** —
+//! the data structure a publishing session keeps alive between deltas so
+//! republication is incremental. For Mondrian the state is the
+//! [`PartitionTree`]; for bucketization it is the bucket membership
+//! ([`BucketizeState`]); for full-domain generalization it is the
+//! satisfying frontier of the generalization lattice ([`FullDomainState`]).
+//! Each variant pairs an algorithm with its own state type, so a strategy
+//! refreshing another algorithm's state cannot be represented.
 //!
-//! The contract every implementation must uphold, proptest-enforced in
+//! The contract every algorithm upholds, proptest-enforced in
 //! `tests/tests/strategies.rs`:
 //!
-//! * **Bit-identity.** After any sequence of [`refresh`]es the state's
-//!   [`snapshot`](StrategyState::snapshot) is bit-identical to
-//!   [`plant`](AnonymizationStrategy::plant)ing on the final table from
-//!   scratch — incremental maintenance is an optimization, never a
-//!   different answer. `plant_with` under any [`Parallelism`] is
+//! * **Bit-identity.** After any sequence of [`refresh`]es the
+//!   [`snapshot`](Planted::snapshot) is bit-identical to
+//!   [`plant`](Strategy::plant)ing on the final table from scratch —
+//!   incremental maintenance is an optimization, never a different answer.
+//!   [`plant_with`](Strategy::plant_with) under any [`Parallelism`] is
 //!   bit-identical to the serial `plant`.
 //! * **Error atomicity.** A [`refresh`] that returns [`Infeasible`] leaves
 //!   the state untouched and usable.
@@ -27,7 +30,7 @@
 //!   between distinct memberships, making the stamps valid cache tokens for
 //!   audit-session risk caches.
 //!
-//! [`refresh`]: AnonymizationStrategy::refresh
+//! [`refresh`]: Planted::refresh
 
 use std::fmt;
 
@@ -69,70 +72,45 @@ impl fmt::Display for Infeasible {
 
 impl std::error::Error for Infeasible {}
 
-/// Retained per-session algorithm state: whatever the strategy keeps alive
-/// between deltas, able to derive the current publication on demand.
-pub trait StrategyState: Send + Sync + 'static {
-    /// Derive the current publication and its per-group stamps from the
-    /// state and the table it reflects. Stamps are aligned with
-    /// `AnonymizedTable::groups()` (see the module docs for their
-    /// contract).
-    fn snapshot(&self, table: &Table) -> (AnonymizedTable, Vec<u64>);
-
-    /// Heap bytes this state holds resident — rolled into the serving
-    /// hub's per-tenant memory gauges, same accounting policy as
-    /// [`Table::bytes_accounted`].
-    fn bytes_accounted(&self) -> usize;
+/// Which anonymization algorithm publishes a table. All three publish the
+/// same [`AnonymizedTable`] group structure; they differ in how groups are
+/// formed and which requirement kinds they can enforce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Algorithm {
+    /// Mondrian multidimensional local recoding — the default; enforces any
+    /// requirement combination.
+    #[default]
+    Mondrian,
+    /// Anatomy-style bucketization on the sensitive attribute; enforces
+    /// k-anonymity and distinct ℓ-diversity (the bucket invariant — ≥ ℓ
+    /// distinct sensitive values, size ≥ ℓ — implies both).
+    Bucketize,
+    /// Incognito-style full-domain generalization over the level lattice;
+    /// enforces any requirement combination.
+    FullDomain,
 }
 
-/// An anonymization algorithm with an incremental refresh path.
-///
-/// Implementations carry the *parameters* of the algorithm (requirement,
-/// ℓ, monotonicity); all mutable computation lives in the associated
-/// [`State`](Self::State).
-pub trait AnonymizationStrategy: Send + Sync + 'static {
-    /// The retained state this algorithm maintains between deltas.
-    type State: StrategyState;
-
-    /// Stable machine-readable name (`"mondrian"`, `"bucketize"`,
-    /// `"fulldomain"`) — used as the checkpoint strategy tag.
-    fn name(&self) -> &'static str;
-
-    /// Human-readable one-line description of the configured parameters,
-    /// for the CLI's `--explain`.
-    fn describe(&self) -> String;
-
-    /// Build the state for `table` from scratch with the chosen execution
-    /// engine. Output is bit-identical across every [`Parallelism`]
-    /// (serial twin: [`plant`](Self::plant)); strategies without a
-    /// parallel engine run serially regardless.
-    fn plant_with(
-        &self,
-        table: &Table,
-        parallelism: Parallelism,
-    ) -> Result<Self::State, Infeasible>;
-
-    /// Serial reference twin of [`plant_with`](Self::plant_with).
-    fn plant(&self, table: &Table) -> Result<Self::State, Infeasible> {
-        self.plant_with(table, Parallelism::Serial)
+impl Algorithm {
+    /// The stable lowercase identifier: CLI flag value, genesis-file
+    /// `algorithm` line and checkpoint `strategy` tag.
+    pub fn name(self) -> &'static str {
+        match self {
+            Algorithm::Mondrian => "mondrian",
+            Algorithm::Bucketize => "bucketize",
+            Algorithm::FullDomain => "fulldomain",
+        }
     }
 
-    /// Amortize derived caches (histograms, scratch) after a plant or
-    /// resume so the first refresh runs at steady-state speed. Must not
-    /// change any observable output; default is a no-op.
-    fn warm(&self, _state: &mut Self::State, _table: &Table) {}
-
-    /// Evolve the state from `old` to `new` (relating the two through the
-    /// delta's `deletes`, indices into `old`; inserted rows are appended
-    /// at the tail of `new`). On `Ok` the state reflects `new`
-    /// bit-identically to a from-scratch plant; on `Err` the state is
-    /// unchanged and still reflects `old`.
-    fn refresh(
-        &self,
-        state: &mut Self::State,
-        old: &Table,
-        new: &Table,
-        deletes: &[usize],
-    ) -> Result<(), Infeasible>;
+    /// Parse the identifier [`name()`](Self::name) emits.
+    pub fn parse(s: &str) -> Option<Self> {
+        [
+            Algorithm::Mondrian,
+            Algorithm::Bucketize,
+            Algorithm::FullDomain,
+        ]
+        .into_iter()
+        .find(|a| a.name() == s)
+    }
 }
 
 /// Map a row index of the pre-delta table to its index in the post-delta
@@ -192,59 +170,8 @@ pub(crate) fn reuse_stamps(
         .collect()
 }
 
-impl StrategyState for PartitionTree {
-    fn snapshot(&self, table: &Table) -> (AnonymizedTable, Vec<u64>) {
-        PartitionTree::snapshot(self, table)
-    }
-
-    fn bytes_accounted(&self) -> usize {
-        PartitionTree::bytes_accounted(self)
-    }
-}
-
-impl AnonymizationStrategy for Mondrian {
-    type State = PartitionTree;
-
-    fn name(&self) -> &'static str {
-        "mondrian"
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "mondrian (local recoding, median splits) enforcing {}",
-            self.requirement().name()
-        )
-    }
-
-    fn plant_with(
-        &self,
-        table: &Table,
-        parallelism: Parallelism,
-    ) -> Result<PartitionTree, Infeasible> {
-        Ok(Mondrian::plant_with(self, table, parallelism))
-    }
-
-    fn warm(&self, state: &mut PartitionTree, table: &Table) {
-        self.warm_stats(state, table);
-    }
-
-    fn refresh(
-        &self,
-        state: &mut PartitionTree,
-        old: &Table,
-        new: &Table,
-        deletes: &[usize],
-    ) -> Result<(), Infeasible> {
-        Mondrian::refresh(self, state, old, new, deletes);
-        Ok(())
-    }
-}
-
-/// Runtime-selected strategy: the closed sum of the shipped algorithms,
-/// paired with [`AnyState`]. This is what a `Publisher`-driven session
-/// uses when the algorithm is chosen by configuration (`--algorithm`)
-/// rather than by a type parameter (`bgkanon::Publisher` drives it).
-pub enum AnyStrategy {
+/// An algorithm with its parameters, ready to plant on a table.
+pub enum Strategy {
     /// Mondrian local recoding over a [`PartitionTree`].
     Mondrian(Mondrian),
     /// Anatomy-style ℓ-diverse bucketization.
@@ -253,107 +180,146 @@ pub enum AnyStrategy {
     FullDomain(FullDomain),
 }
 
-/// State for [`AnyStrategy`]: the matching variant of the per-algorithm
-/// state types.
-pub enum AnyState {
-    /// Mondrian's partition tree.
-    Mondrian(PartitionTree),
-    /// Bucketization's bucket membership.
-    Bucketize(BucketizeState),
-    /// Full-domain generalization's lattice frontier.
-    FullDomain(FullDomainState),
-}
-
-impl StrategyState for AnyState {
-    fn snapshot(&self, table: &Table) -> (AnonymizedTable, Vec<u64>) {
+impl Strategy {
+    /// The algorithm this strategy runs.
+    pub fn algorithm(&self) -> Algorithm {
         match self {
-            AnyState::Mondrian(s) => StrategyState::snapshot(s, table),
-            AnyState::Bucketize(s) => s.snapshot(table),
-            AnyState::FullDomain(s) => s.snapshot(table),
+            Strategy::Mondrian(_) => Algorithm::Mondrian,
+            Strategy::Bucketize(_) => Algorithm::Bucketize,
+            Strategy::FullDomain(_) => Algorithm::FullDomain,
         }
     }
 
-    fn bytes_accounted(&self) -> usize {
+    /// Human-readable one-line description of the configured parameters,
+    /// for the CLI's `--explain`.
+    pub fn describe(&self) -> String {
         match self {
-            AnyState::Mondrian(s) => StrategyState::bytes_accounted(s),
-            AnyState::Bucketize(s) => s.bytes_accounted(),
-            AnyState::FullDomain(s) => s.bytes_accounted(),
-        }
-    }
-}
-
-fn variant_mismatch(strategy: &AnyStrategy, state: &AnyState) -> Infeasible {
-    let state_name = match state {
-        AnyState::Mondrian(_) => "mondrian",
-        AnyState::Bucketize(_) => "bucketize",
-        AnyState::FullDomain(_) => "fulldomain",
-    };
-    Infeasible::new(format!(
-        "strategy `{}` cannot refresh `{}` state",
-        match strategy {
-            AnyStrategy::Mondrian(_) => "mondrian",
-            AnyStrategy::Bucketize(_) => "bucketize",
-            AnyStrategy::FullDomain(_) => "fulldomain",
-        },
-        state_name
-    ))
-}
-
-impl AnonymizationStrategy for AnyStrategy {
-    type State = AnyState;
-
-    fn name(&self) -> &'static str {
-        match self {
-            AnyStrategy::Mondrian(s) => AnonymizationStrategy::name(s),
-            AnyStrategy::Bucketize(s) => s.name(),
-            AnyStrategy::FullDomain(s) => s.name(),
+            Strategy::Mondrian(m) => format!(
+                "mondrian (local recoding, median splits) enforcing {}",
+                m.requirement().name()
+            ),
+            Strategy::Bucketize(b) => format!(
+                "bucketize (Anatomy): ≥ {} distinct sensitive values per bucket, QI published verbatim",
+                b.l()
+            ),
+            Strategy::FullDomain(f) => format!(
+                "full-domain generalization ({}) enforcing {}",
+                if f.monotone {
+                    "monotone minimal-vector search"
+                } else {
+                    "exhaustive lattice search"
+                },
+                f.requirement.name()
+            ),
         }
     }
 
-    fn describe(&self) -> String {
-        match self {
-            AnyStrategy::Mondrian(s) => AnonymizationStrategy::describe(s),
-            AnyStrategy::Bucketize(s) => s.describe(),
-            AnyStrategy::FullDomain(s) => s.describe(),
-        }
-    }
-
-    fn plant_with(&self, table: &Table, parallelism: Parallelism) -> Result<AnyState, Infeasible> {
-        match self {
-            AnyStrategy::Mondrian(s) => {
-                AnonymizationStrategy::plant_with(s, table, parallelism).map(AnyState::Mondrian)
+    /// Build the retained state for `table` from scratch with the chosen
+    /// execution engine. Output is bit-identical across every
+    /// [`Parallelism`] (serial twin: [`plant`](Self::plant)). Only Mondrian
+    /// has a parallel engine; bucketization's greedy and full-domain's
+    /// lattice sweep are sequential and run serially regardless.
+    ///
+    /// Mondrian panics when the whole table violates its requirement;
+    /// callers check that first (as sessions and `Publisher` do).
+    pub fn plant_with(
+        self,
+        table: &Table,
+        parallelism: Parallelism,
+    ) -> Result<Planted, Infeasible> {
+        Ok(match self {
+            Strategy::Mondrian(m) => {
+                let tree = m.plant_with(table, parallelism);
+                Planted::Mondrian(m, tree)
             }
-            AnyStrategy::Bucketize(s) => s.plant_with(table, parallelism).map(AnyState::Bucketize),
-            AnyStrategy::FullDomain(s) => {
-                s.plant_with(table, parallelism).map(AnyState::FullDomain)
+            Strategy::Bucketize(b) => {
+                let state = b.plant(table)?;
+                Planted::Bucketize(b, state)
             }
+            Strategy::FullDomain(f) => {
+                let state = f.plant(table)?;
+                Planted::FullDomain(f, state)
+            }
+        })
+    }
+
+    /// Serial reference twin of [`plant_with`](Self::plant_with).
+    pub fn plant(self, table: &Table) -> Result<Planted, Infeasible> {
+        self.plant_with(table, Parallelism::Serial)
+    }
+}
+
+/// A planted strategy: each algorithm paired with the state it retains
+/// between deltas.
+pub enum Planted {
+    /// Mondrian and its partition tree.
+    Mondrian(Mondrian, PartitionTree),
+    /// Bucketization and its bucket membership.
+    Bucketize(Bucketize, BucketizeState),
+    /// Full-domain generalization and its lattice frontier.
+    FullDomain(FullDomain, FullDomainState),
+}
+
+impl Planted {
+    /// The algorithm this state belongs to.
+    pub fn algorithm(&self) -> Algorithm {
+        match self {
+            Planted::Mondrian(..) => Algorithm::Mondrian,
+            Planted::Bucketize(..) => Algorithm::Bucketize,
+            Planted::FullDomain(..) => Algorithm::FullDomain,
         }
     }
 
-    fn warm(&self, state: &mut AnyState, table: &Table) {
-        if let (AnyStrategy::Mondrian(s), AnyState::Mondrian(tree)) = (self, &mut *state) {
-            AnonymizationStrategy::warm(s, tree, table);
+    /// Derive the current publication and its per-group stamps from the
+    /// state and the table it reflects. Stamps are aligned with
+    /// `AnonymizedTable::groups()` (see the module docs for their
+    /// contract).
+    pub fn snapshot(&self, table: &Table) -> (AnonymizedTable, Vec<u64>) {
+        match self {
+            Planted::Mondrian(_, tree) => tree.snapshot(table),
+            Planted::Bucketize(_, state) => state.snapshot(table),
+            Planted::FullDomain(_, state) => state.snapshot(table),
         }
     }
 
-    fn refresh(
-        &self,
-        state: &mut AnyState,
+    /// Evolve the state from `old` to `new` (relating the two through the
+    /// delta's `deletes`, indices into `old`; inserted rows are appended
+    /// at the tail of `new`). On `Ok` the state reflects `new`
+    /// bit-identically to a from-scratch plant; on `Err` the state is
+    /// unchanged and still reflects `old`.
+    pub fn refresh(
+        &mut self,
         old: &Table,
         new: &Table,
         deletes: &[usize],
     ) -> Result<(), Infeasible> {
-        match (self, state) {
-            (AnyStrategy::Mondrian(s), AnyState::Mondrian(tree)) => {
-                AnonymizationStrategy::refresh(s, tree, old, new, deletes)
+        match self {
+            Planted::Mondrian(m, tree) => {
+                m.refresh(tree, old, new, deletes);
+                Ok(())
             }
-            (AnyStrategy::Bucketize(s), AnyState::Bucketize(st)) => {
-                s.refresh(st, old, new, deletes)
-            }
-            (AnyStrategy::FullDomain(s), AnyState::FullDomain(st)) => {
-                s.refresh(st, old, new, deletes)
-            }
-            (strategy, state) => Err(variant_mismatch(strategy, state)),
+            Planted::Bucketize(b, state) => b.refresh(state, new, deletes),
+            Planted::FullDomain(f, state) => f.refresh(state, new, deletes),
+        }
+    }
+
+    /// Amortize derived caches (Mondrian's per-node histograms) after a
+    /// plant or resume so the first refresh runs at steady-state speed.
+    /// Changes no observable output.
+    pub fn warm(&mut self, table: &Table) {
+        if let Planted::Mondrian(m, tree) = self {
+            m.warm_stats(tree, table);
+        }
+    }
+
+    /// Heap bytes the state holds resident — rolled into the serving hub's
+    /// per-tenant memory gauges, same accounting policy as
+    /// [`Table::bytes_accounted`].
+    pub fn bytes_accounted(&self) -> usize {
+        match self {
+            Planted::Mondrian(_, tree) => tree.bytes_accounted(),
+            Planted::Bucketize(_, state) => state.bytes_accounted(),
+            Planted::FullDomain(_, state) => state.bytes_accounted(),
         }
     }
 }
@@ -368,31 +334,18 @@ mod tests {
     #[test]
     fn mondrian_strategy_matches_inherent_engine() {
         let t = adult::generate(300, 21);
-        let mondrian = Mondrian::new(Arc::new(KAnonymity::new(4)));
-        let via_trait = AnonymizationStrategy::plant(&mondrian, &t).expect("satisfiable");
-        let direct = mondrian.plant(&t);
-        let (a, stamps_a) = StrategyState::snapshot(&via_trait, &t);
+        let requirement: Arc<dyn bgkanon_privacy::PrivacyRequirement> =
+            Arc::new(KAnonymity::new(4));
+        let planted = Strategy::Mondrian(Mondrian::new(Arc::clone(&requirement)))
+            .plant(&t)
+            .expect("satisfiable");
+        let direct = Mondrian::new(requirement).plant(&t);
+        let (a, stamps_a) = planted.snapshot(&t);
         let (b, stamps_b) = direct.snapshot(&t);
         assert_eq!(stamps_a, stamps_b);
         for (ga, gb) in a.groups().iter().zip(b.groups()) {
             assert_eq!(ga.rows, gb.rows);
         }
-    }
-
-    #[test]
-    fn any_strategy_rejects_variant_mismatch() {
-        let t = adult::generate(200, 22);
-        let mondrian = AnyStrategy::Mondrian(Mondrian::new(Arc::new(KAnonymity::new(3))));
-        let bucketize = AnyStrategy::Bucketize(Bucketize::new(3));
-        let mut state = bucketize.plant(&t).expect("3-eligible");
-        let err = mondrian
-            .refresh(&mut state, &t, &t, &[])
-            .expect_err("variant mismatch");
-        assert!(err.to_string().contains("mondrian"));
-        assert!(err.to_string().contains("bucketize"));
-        // The state is untouched and still snapshots.
-        let (at, _) = state.snapshot(&t);
-        assert_eq!(at.len(), t.len());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Ablation studies of the design choices DESIGN.md calls out.
+//! Ablation studies of the reproduction's design choices.
 //!
 //! * [`kernel_family`] — §II.C claims the kernel *shape* matters far less
 //!   than the bandwidth; we quantify it (prior shift, Ω accuracy and attack

@@ -1963,8 +1963,7 @@ fn run_fleet_mode(smoke: bool, out_path: &str) {
             verify_on_open: false,
             max_resident_bytes: budget,
         };
-        let (hub, _) = SessionHub::<bgkanon::anon::AnyStrategy>::open_with(&dir, options)
-            .expect("create fleet hub");
+        let (hub, _) = SessionHub::open_with(&dir, options).expect("create fleet hub");
         for i in 0..tenants {
             let table = adult::generate(rows, SEED + (i % distinct) as u64);
             hub.register(&name_of(i), &table, &publisher)
@@ -2261,11 +2260,12 @@ fn run_strategies(
     }
 }
 
-fn strategies_json(results: &[StrategyResult], smoke: bool, reps: usize) -> String {
+fn strategies_json(results: &[StrategyResult], threads: usize, smoke: bool, reps: usize) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"strategies\",\n");
     out.push_str("  \"requirement\": \"4-anonymity ∧ distinct 3-diversity\",\n");
     out.push_str(&format!("  \"seed\": {SEED},\n"));
+    out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!("  \"reps\": {reps},\n"));
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
     out.push_str("  \"sizes\": [\n");
@@ -2332,7 +2332,8 @@ fn run_strategies_mode(sizes: &[usize], reps: usize, out_path: &str, smoke: bool
     ));
     println!("{}", report.render());
 
-    let payload = strategies_json(&results, smoke, reps);
+    let threads = Parallelism::Auto.effective_threads();
+    let payload = strategies_json(&results, threads, smoke, reps);
     let mut file = std::fs::File::create(out_path).expect("create strategies json");
     file.write_all(payload.as_bytes())
         .expect("write strategies json");

@@ -8,10 +8,10 @@
 //! ```
 //!
 //! Exits non-zero when any `identical_output` flag in any supplied
-//! benchmark document is false, when a gated `time_ms` metric exceeds 2×
-//! its committed expectation, when a gated `ratio` metric drops below half
-//! of it, or when a rule's benchmark document was not supplied at all (so
-//! deleting a bench step cannot silently disable its gate). See
+//! benchmark document is false, when a gated metric exceeds its rule's
+//! `max` or drops below its `min`, or when a rule's benchmark document was
+//! not supplied at all (so deleting a bench step cannot silently disable
+//! its gate). See
 //! [`bgkanon_bench::gate`] for the rule format.
 
 use std::process::ExitCode;
@@ -71,9 +71,9 @@ fn run(args: &[String]) -> Result<(), String> {
     if failures > 0 {
         return Err(format!(
             "{failures} gate check(s) failed — either a benchmark output drifted \
-             (identical_output must never be false) or a smoke metric regressed past \
-             its 2× band; recalibrate crates/bench/thresholds.json only with a \
-             justified perf change"
+             (identical_output must never be false) or a smoke metric crossed its \
+             bound; recalibrate crates/bench/thresholds.json only with a justified \
+             perf change"
         ));
     }
     Ok(())
@@ -96,8 +96,7 @@ mod tests {
         let thresholds = write(
             &dir,
             "thresholds.json",
-            r#"{"rules": [{"bench": "demo", "metric": "total_ms",
-                           "kind": "time_ms", "expected": 10.0}]}"#,
+            r#"{"rules": [{"bench": "demo", "metric": "total_ms", "max": 20.0}]}"#,
         );
         let good = write(
             &dir,

@@ -7,13 +7,10 @@
 //!    benchmark document must be `true`. A speedup bought with divergent
 //!    output is a correctness bug, not a regression, and fails the gate
 //!    outright.
-//! 2. **No silent 2× regression** — each rule in the committed thresholds
+//! 2. **No metric past its bound** — each rule in the committed thresholds
 //!    file (`crates/bench/thresholds.json`) names a benchmark, a metric
-//!    path and the expected value measured when the rule was committed. A
-//!    `time_ms` metric fails when it exceeds **2×** the expectation; a
-//!    `ratio` (throughput/speedup) metric fails when it drops below
-//!    **half** of it. The 2× band absorbs runner-to-runner noise while
-//!    still catching the step changes that matter.
+//!    path and one explicit bound: `{"max": X}` fails when the metric
+//!    exceeds `X`, `{"min": X}` fails when it drops below `X`.
 //!
 //! The workspace vendors no JSON dependency, so this module carries a
 //! minimal recursive-descent parser for the subset the benchmarks emit
@@ -279,13 +276,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// The direction of one gated metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
-    /// Wall-clock in milliseconds: fails when it grows past 2× expected.
-    TimeMs,
-    /// Throughput or speedup ratio: fails when it drops below expected/2.
-    Ratio,
+/// The bound one gated metric must stay within.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// Fails when the metric exceeds this value (times, ceilings).
+    Max(f64),
+    /// Fails when the metric drops below this value (speedups, rates).
+    Min(f64),
 }
 
 /// One committed threshold rule.
@@ -295,27 +292,16 @@ pub struct Rule {
     pub bench: String,
     /// Dotted metric path inside that document.
     pub metric: String,
-    /// The metric's direction.
-    pub kind: MetricKind,
-    /// The committed expectation (the value observed when the rule was
-    /// last calibrated).
-    pub expected: f64,
+    /// The bound the metric must stay within.
+    pub bound: Bound,
 }
 
 impl Rule {
-    /// The value at which this rule starts failing.
-    pub fn limit(&self) -> f64 {
-        match self.kind {
-            MetricKind::TimeMs => self.expected * 2.0,
-            MetricKind::Ratio => self.expected / 2.0,
-        }
-    }
-
     /// Does `value` violate the rule?
     pub fn violated_by(&self, value: f64) -> bool {
-        match self.kind {
-            MetricKind::TimeMs => value > self.limit(),
-            MetricKind::Ratio => value < self.limit(),
+        match self.bound {
+            Bound::Max(max) => value > max,
+            Bound::Min(min) => value < min,
         }
     }
 }
@@ -334,10 +320,15 @@ pub fn parse_rules(thresholds: &Json) -> Result<Vec<Rule>, String> {
                     .get(k)
                     .ok_or_else(|| format!("rule {i}: missing `{k}`"))
             };
-            let kind = match field("kind")?.as_str() {
-                Some("time_ms") => MetricKind::TimeMs,
-                Some("ratio") => MetricKind::Ratio,
-                other => return Err(format!("rule {i}: bad kind {other:?}")),
+            let number = |k: &str| entry.get(k).map(Json::as_f64);
+            let bound = match (number("max"), number("min")) {
+                (Some(Some(max)), None) => Bound::Max(max),
+                (None, Some(Some(min))) => Bound::Min(min),
+                _ => {
+                    return Err(format!(
+                        "rule {i}: needs exactly one numeric `max` or `min`"
+                    ))
+                }
             };
             Ok(Rule {
                 bench: field("bench")?
@@ -348,10 +339,7 @@ pub fn parse_rules(thresholds: &Json) -> Result<Vec<Rule>, String> {
                     .as_str()
                     .ok_or_else(|| format!("rule {i}: `metric` must be a string"))?
                     .to_owned(),
-                kind,
-                expected: field("expected")?
-                    .as_f64()
-                    .ok_or_else(|| format!("rule {i}: `expected` must be a number"))?,
+                bound,
             })
         })
         .collect()
@@ -433,20 +421,14 @@ pub fn run_gate(rules: &[Rule], docs: &[(String, Json)]) -> Vec<Check> {
                     passed: false,
                 },
                 Some(value) => {
-                    let passed = !rule.violated_by(value);
-                    let relation = match rule.kind {
-                        MetricKind::TimeMs => "≤",
-                        MetricKind::Ratio => "≥",
+                    let (relation, limit) = match rule.bound {
+                        Bound::Max(max) => ("≤", max),
+                        Bound::Min(min) => ("≥", min),
                     };
                     Check {
                         label: format!("{source}: {}", rule.metric),
-                        detail: format!(
-                            "{value:.3} (must stay {relation} {:.3}; committed expectation \
-                             {:.3})",
-                            rule.limit(),
-                            rule.expected
-                        ),
-                        passed,
+                        detail: format!("{value:.3} (must stay {relation} {limit:.3})"),
+                        passed: !rule.violated_by(value),
                     }
                 }
             };
@@ -507,9 +489,8 @@ mod tests {
             &parse(
                 r#"{"rules": [
                     {"bench": "baseline", "metric": "sizes[0].parallel_total_ms",
-                     "kind": "time_ms", "expected": 5.0},
-                    {"bench": "concurrent", "metric": "audit_speedup",
-                     "kind": "ratio", "expected": 4.0}
+                     "max": 10.0},
+                    {"bench": "concurrent", "metric": "audit_speedup", "min": 2.0}
                 ]}"#,
             )
             .unwrap(),
@@ -518,13 +499,13 @@ mod tests {
     }
 
     #[test]
-    fn rule_bands_are_two_x() {
+    fn rule_bounds_are_max_and_min() {
         let rules = rules();
-        assert_eq!(rules[0].limit(), 10.0);
-        assert!(!rules[0].violated_by(9.9));
+        assert_eq!(rules[0].bound, Bound::Max(10.0));
+        assert!(!rules[0].violated_by(10.0));
         assert!(rules[0].violated_by(10.1));
-        assert_eq!(rules[1].limit(), 2.0);
-        assert!(!rules[1].violated_by(2.1));
+        assert_eq!(rules[1].bound, Bound::Min(2.0));
+        assert!(!rules[1].violated_by(2.0));
         assert!(rules[1].violated_by(1.9));
     }
 
@@ -554,7 +535,7 @@ mod tests {
         .unwrap();
         let docs = vec![("conc.json".to_owned(), drifted)];
         let checks = run_gate(&rules(), &docs);
-        // identical_output false, ratio below half, and the baseline
+        // identical_output false, speedup below its min, and the baseline
         // document missing entirely — three failures.
         let failures: Vec<&Check> = checks.iter().filter(|c| !c.passed).collect();
         assert_eq!(failures.len(), 3, "{checks:#?}");
@@ -582,16 +563,14 @@ mod tests {
     #[test]
     fn parse_rules_rejects_malformed_thresholds() {
         assert!(parse_rules(&parse(r#"{"no_rules": 1}"#).unwrap()).is_err());
-        assert!(parse_rules(
-            &parse(
-                r#"{"rules": [{"bench": "b", "metric": "m", "kind": "sideways", "expected": 1}]}"#
-            )
-            .unwrap()
-        )
-        .is_err());
-        assert!(parse_rules(
-            &parse(r#"{"rules": [{"bench": "b", "metric": "m", "kind": "ratio"}]}"#).unwrap()
-        )
-        .is_err());
+        for rule in [
+            r#"{"bench": "b", "metric": "m"}"#,
+            r#"{"bench": "b", "metric": "m", "max": 1, "min": 0}"#,
+            r#"{"bench": "b", "metric": "m", "max": "fast"}"#,
+            r#"{"bench": "b", "metric": "m", "kind": "ratio", "expected": 1}"#,
+        ] {
+            let doc = parse(&format!(r#"{{"rules": [{rule}]}}"#)).unwrap();
+            assert!(parse_rules(&doc).is_err(), "{rule}");
+        }
     }
 }

@@ -5,6 +5,7 @@
 //! bgkanon-cli publish   --input adult_synth.csv --model bt --k 4 --b 0.3 --t 0.25 --out published.csv
 //! bgkanon-cli publish   --input base.csv --model kanon --k 5 \
 //!                       --delete-rows 3,17,42 --insert-rows newcomers.csv --out published.csv
+//! bgkanon-cli publish   --input base.csv --model ldiv --l 3 --algorithm bucketize --explain
 //! bgkanon-cli audit     --input adult_synth.csv --model ldiv --k 3 --l 3 --b-prime 0.3 --t 0.25
 //! bgkanon-cli mine      --input adult_synth.csv --min-support 50 --pairwise
 //! ```
@@ -12,8 +13,9 @@
 //! `publish` and `audit` run through a retained [`PublishSession`]: the
 //! table is partitioned once, optional `--delete-rows` / `--insert-rows`
 //! deltas are applied incrementally through the session, and the audit
-//! replays its group-risk cache. `anonymize` is kept as a legacy alias of
-//! the one-shot pipeline.
+//! replays its group-risk cache. `--algorithm` selects Mondrian,
+//! bucketization or full-domain generalization; `--explain` prints the
+//! selected strategy and its parameters.
 //!
 //! Input files use the 7-column Adult layout produced by `generate`
 //! (`Age,Workclass,Education,Marital-status,Race,Gender,Occupation`), or the
@@ -66,7 +68,6 @@ const USAGE: &str = "usage:
                          --max-resident-mb bounds the hub's accounted resident
                          bytes — cold tenants are demoted to their durable form
                          and rehydrated transparently on the next touch)
-  bgkanon-cli anonymize (legacy one-shot alias of publish, without deltas)
   bgkanon-cli mine      --input FILE [--min-support N] [--pairwise]";
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -75,7 +76,6 @@ fn run(args: &[String]) -> Result<(), String> {
     match command.as_str() {
         "generate" => generate(&flags),
         "publish" => publish(&flags),
-        "anonymize" => anonymize(&flags),
         "audit" => audit(&flags),
         "serve" => serve(&flags),
         "mine" => mine(&flags),
@@ -350,34 +350,6 @@ fn explain_if_asked(
     Ok(())
 }
 
-fn anonymize(flags: &HashMap<String, String>) -> Result<(), String> {
-    let table = load_table(flags)?;
-    let publisher = build_publisher(flags)?;
-    explain_if_asked(flags, &publisher, &table)?;
-    let outcome = publisher.publish(&table).map_err(|e| e.to_string())?;
-    eprintln!(
-        "requirement: {}\ngroups: {} (avg size {:.1}) in {:?}",
-        outcome.requirement_name,
-        outcome.anonymized.group_count(),
-        outcome.anonymized.average_group_size(),
-        outcome.elapsed
-    );
-    eprintln!(
-        "utility: DM {}  GCP {:.1}",
-        utility::discernibility(&outcome.anonymized),
-        utility::global_certainty_penalty(&outcome.anonymized)
-    );
-    if let Some(out) = flags.get("out") {
-        let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
-        outcome
-            .anonymized
-            .write_csv(&table, BufWriter::new(file))
-            .map_err(|e| e.to_string())?;
-        eprintln!("published table written to {out}");
-    }
-    Ok(())
-}
-
 fn audit(flags: &HashMap<String, String>) -> Result<(), String> {
     let (_, mut session) = open_session(flags)?;
     let b_prime: f64 = parse(flags, "b-prime")?.unwrap_or(0.3);
@@ -445,8 +417,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
                 max_resident_bytes,
                 ..Default::default()
             };
-            let (hub, report) = SessionHub::<bgkanon::anon::AnyStrategy>::open_with(dir, options)
-                .map_err(|e| e.to_string())?;
+            let (hub, report) = SessionHub::open_with(dir, options).map_err(|e| e.to_string())?;
             for tenant in &report.tenants {
                 match &tenant.error {
                     None => eprintln!(
@@ -651,8 +622,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
     // Durable mode: re-open the data directory cold and prove that the
     // recovered hub publishes exactly what the live hub was serving.
     if let Some(dir) = &data_dir {
-        let (reopened, report) =
-            SessionHub::<bgkanon::anon::AnyStrategy>::open(dir).map_err(|e| e.to_string())?;
+        let (reopened, report) = SessionHub::open(dir).map_err(|e| e.to_string())?;
         if !report.is_clean() {
             return Err(format!(
                 "reopen left {} tenant(s) unrecoverable",

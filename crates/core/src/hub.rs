@@ -79,7 +79,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, Weak};
 
-use bgkanon_anon::{AnonymizedTable, AnyStrategy};
+use bgkanon_anon::AnonymizedTable;
 use bgkanon_data::{Delta, Parallelism, Table};
 use bgkanon_knowledge::{
     Adversary, Bandwidth, FoldedTable, KernelFamily, PriorEstimator, PriorModel,
@@ -90,7 +90,6 @@ use bgkanon_stats::SmoothedJs;
 use crate::publisher::Publisher;
 use crate::recover::{self, RecoveryReport, TenantRecovery};
 use crate::session::{PublishSession, SessionError};
-use crate::strategy::SessionStrategy;
 use crate::wal::{encode_record, DurabilityOptions, WalWriter};
 
 /// Default registry shard count ([`SessionHub::DEFAULT_SHARDS`]).
@@ -260,9 +259,9 @@ struct TenantWal {
 }
 
 /// Residency of one tenant's in-memory session.
-enum TenantState<S: SessionStrategy> {
+enum TenantState {
     /// Session in memory, serving applies and audits.
-    Resident(Box<PublishSession<S>>),
+    Resident(Box<PublishSession>),
     /// Demoted to the durable form under the tenant's directory: no
     /// session, no snapshot, no caches, no open WAL descriptor. The next
     /// touch rehydrates through [`crate::recover`] — bit-identical to
@@ -271,12 +270,12 @@ enum TenantState<S: SessionStrategy> {
 }
 
 /// One hosted tenant.
-struct Tenant<S: SessionStrategy> {
+struct Tenant {
     name: String,
     /// The single-writer evolving session (or its evicted placeholder).
     /// Held by [`SessionHub::apply`] for the duration of one delta and by
     /// rehydration/demotion for the duration of the state swap.
-    writer: Mutex<TenantState<S>>,
+    writer: Mutex<TenantState>,
     /// Durable-apply state; `None` on in-memory hubs. Nests inside the
     /// `writer` lock and is released before `published` is written.
     wal: Option<Mutex<TenantWal>>,
@@ -295,7 +294,7 @@ struct Tenant<S: SessionStrategy> {
     reader_bytes: AtomicUsize,
 }
 
-impl<S: SessionStrategy> Tenant<S> {
+impl Tenant {
     fn snapshot_opt(&self) -> Option<Arc<TenantSnapshot>> {
         relock(self.published.read()).as_ref().map(Arc::clone)
     }
@@ -357,8 +356,8 @@ impl<S: SessionStrategy> Tenant<S> {
 }
 
 /// One registry shard.
-struct Shard<S: SessionStrategy> {
-    tenants: Mutex<HashMap<String, Arc<Tenant<S>>>>,
+struct Shard {
+    tenants: Mutex<HashMap<String, Arc<Tenant>>>,
 }
 
 /// Hub-level durability configuration (present only on hubs opened with
@@ -502,12 +501,10 @@ pub struct MemoryStats {
 /// The hub is `Send + Sync` — wrap it in an `Arc` and hand it to as many
 /// writer and reader threads as the workload needs.
 ///
-/// Like [`PublishSession`], the hub is generic over its tenants'
-/// [`SessionStrategy`]. The default, [`AnyStrategy`], dispatches on each
-/// tenant's [`Publisher::algorithm`](crate::Publisher::algorithm) knob, so
+/// Each tenant runs the algorithm its
+/// [`Publisher::algorithm`](crate::Publisher::algorithm) knob selects, so
 /// one hub hosts Mondrian, bucketization and full-domain tenants side by
-/// side; a concrete parameter (`SessionHub<Mondrian>`) pins every tenant to
-/// one algorithm and rejects mismatched publishers at registration.
+/// side.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -539,8 +536,8 @@ pub struct MemoryStats {
 /// assert!(report.worst_case >= report.mean);
 /// # Ok::<(), bgkanon::SessionError>(())
 /// ```
-pub struct SessionHub<S: SessionStrategy = AnyStrategy> {
-    shards: Vec<Shard<S>>,
+pub struct SessionHub {
+    shards: Vec<Shard>,
     durability: Option<Durability>,
     /// In-memory budget ([`with_budget`](Self::with_budget)); durable hubs
     /// configure theirs via [`DurabilityOptions::max_resident_bytes`].
@@ -555,7 +552,7 @@ pub struct SessionHub<S: SessionStrategy = AnyStrategy> {
     interned: Mutex<InternTable>,
 }
 
-impl<S: SessionStrategy> SessionHub<S> {
+impl SessionHub {
     /// Default number of registry shards.
     pub const DEFAULT_SHARDS: usize = DEFAULT_SHARD_COUNT;
 
@@ -728,13 +725,13 @@ impl<S: SessionStrategy> SessionHub<S> {
         self.shards.len()
     }
 
-    fn shard(&self, tenant: &str) -> &Shard<S> {
+    fn shard(&self, tenant: &str) -> &Shard {
         let mut hasher = DefaultHasher::new();
         tenant.hash(&mut hasher);
         &self.shards[(hasher.finish() as usize) % self.shards.len()]
     }
 
-    fn tenant(&self, name: &str) -> Result<Arc<Tenant<S>>, SessionError> {
+    fn tenant(&self, name: &str) -> Result<Arc<Tenant>, SessionError> {
         relock(self.shard(name).tenants.lock())
             .get(name)
             .cloned()
@@ -1086,7 +1083,7 @@ impl<S: SessionStrategy> SessionHub<S> {
     }
 
     /// Stamp the tenant's last-touch clock (LRU eviction order).
-    fn touch(&self, entry: &Tenant<S>) {
+    fn touch(&self, entry: &Tenant) {
         entry.last_touch.store(
             self.touch_clock.fetch_add(1, Ordering::Relaxed),
             Ordering::Relaxed,
@@ -1106,7 +1103,7 @@ impl<S: SessionStrategy> SessionHub<S> {
     /// Recompute the tenant's shared reader-cache bytes. The sessions are
     /// cloned out under the brief `readers` guard and summed outside it
     /// (each sum takes the session's own cache lock).
-    fn recount_readers(&self, entry: &Tenant<S>) {
+    fn recount_readers(&self, entry: &Tenant) {
         let sessions: Vec<Arc<SharedAuditSession>> = {
             let readers = relock(entry.readers.lock());
             readers.iter().map(|c| Arc::clone(&c.session)).collect()
@@ -1116,10 +1113,7 @@ impl<S: SessionStrategy> SessionHub<S> {
     }
 
     /// The tenant's current snapshot, rehydrating a demoted tenant first.
-    fn resident_snapshot(
-        &self,
-        entry: &Arc<Tenant<S>>,
-    ) -> Result<Arc<TenantSnapshot>, SessionError> {
+    fn resident_snapshot(&self, entry: &Arc<Tenant>) -> Result<Arc<TenantSnapshot>, SessionError> {
         self.touch(entry);
         if let Some(snapshot) = entry.snapshot_opt() {
             return Ok(snapshot);
@@ -1140,8 +1134,8 @@ impl<S: SessionStrategy> SessionHub<S> {
     /// to one that was never demoted.
     fn rehydrate_locked(
         &self,
-        entry: &Tenant<S>,
-        state: &mut TenantState<S>,
+        entry: &Tenant,
+        state: &mut TenantState,
     ) -> Result<Arc<TenantSnapshot>, SessionError> {
         if let TenantState::Resident(session) = state {
             if let Some(snapshot) = entry.snapshot_opt() {
@@ -1203,7 +1197,7 @@ impl<S: SessionStrategy> SessionHub<S> {
             return;
         }
         let low = budget - budget / 8;
-        let mut candidates: Vec<(u64, String, Arc<Tenant<S>>)> = Vec::new();
+        let mut candidates: Vec<(u64, String, Arc<Tenant>)> = Vec::new();
         for s in &self.shards {
             let tenants = relock(s.tenants.lock());
             // bgk-allow: R3 candidates are sorted by (touch, name) below
@@ -1232,7 +1226,7 @@ impl<S: SessionStrategy> SessionHub<S> {
     /// caches instead — there is no durable form to fall back to). Best
     /// effort: a contended writer, an unhealthy WAL, or a failed
     /// checkpoint flush leaves the tenant resident.
-    fn demote(&self, entry: &Tenant<S>) {
+    fn demote(&self, entry: &Tenant) {
         // try_lock, never lock: a tenant whose writer is held is mid-apply
         // — the opposite of cold — and eviction must not stall it.
         let Ok(mut state) = entry.writer.try_lock() else {
@@ -1393,7 +1387,7 @@ impl<S: SessionStrategy> SessionHub<S> {
         adversary
     }
 
-    fn snapshot_of(tenant: &str, session: &PublishSession<S>) -> TenantSnapshot {
+    fn snapshot_of(tenant: &str, session: &PublishSession) -> TenantSnapshot {
         TenantSnapshot {
             tenant: tenant.to_owned(),
             version: session.deltas_applied() as u64,
@@ -1405,13 +1399,13 @@ impl<S: SessionStrategy> SessionHub<S> {
     }
 }
 
-impl<S: SessionStrategy> Default for SessionHub<S> {
+impl Default for SessionHub {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<S: SessionStrategy> std::fmt::Debug for SessionHub<S> {
+impl std::fmt::Debug for SessionHub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionHub")
             .field("shards", &self.shards.len())
@@ -1773,7 +1767,7 @@ mod tests {
         let hub = hub_with(&[("a", 6)], 300, 4);
         hub.audit_against("a", 0.3, 0.2).unwrap();
         let entry = hub.tenant("a").unwrap();
-        let model_of = |entry: &Tenant<AnyStrategy>| {
+        let model_of = |entry: &Tenant| {
             let readers = relock(entry.readers.lock());
             let model = readers[0].session.auditor().adversary().prior_model();
             let model = Arc::clone(model.expect("hub-built kernel adversary"));

@@ -54,7 +54,7 @@ pub mod params;
 pub mod publisher;
 pub mod recover;
 pub mod session;
-pub mod strategy;
+mod strategy;
 pub mod wal;
 
 pub use data::Parallelism;
@@ -62,14 +62,11 @@ pub use hub::{MemoryStats, SessionHub, TenantSnapshot};
 pub use publisher::{Algorithm, PublishError, PublishOutcome, Publisher};
 pub use recover::{RecoveryReport, TenantRecovery};
 pub use session::{PublishSession, SessionError};
-pub use strategy::SessionStrategy;
 pub use wal::{DurabilityOptions, SyncPolicy, WalError};
 
 /// Convenient glob-import surface: the types most programs need.
 pub mod prelude {
-    pub use crate::anon::{
-        AnonymizedTable, AnyStrategy, Bucketize, FullDomain, Mondrian, PartitionTree,
-    };
+    pub use crate::anon::{AnonymizedTable, Bucketize, FullDomain, Mondrian, PartitionTree};
     pub use crate::data::{
         Attribute, Delta, DeltaBuilder, Parallelism, Schema, Table, TableBuilder,
     };
@@ -85,5 +82,4 @@ pub mod prelude {
     pub use crate::publisher::{Algorithm, PublishOutcome, Publisher};
     pub use crate::session::{PublishSession, SessionError};
     pub use crate::stats::{BeliefDistance, Dist, Kernel, SmoothedJs};
-    pub use crate::strategy::SessionStrategy;
 }

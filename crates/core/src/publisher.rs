@@ -11,10 +11,8 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bgkanon_anon::{
-    AnonymizationStrategy, AnonymizedTable, AnyStrategy, Bucketize, FullDomain, Infeasible,
-    Mondrian, StrategyState,
-};
+pub use bgkanon_anon::Algorithm;
+use bgkanon_anon::{AnonymizedTable, Bucketize, FullDomain, Infeasible, Mondrian, Strategy};
 use bgkanon_data::{Parallelism, Table};
 use bgkanon_knowledge::{Adversary, Bandwidth};
 use bgkanon_privacy::{
@@ -55,47 +53,6 @@ impl Spec {
     }
 }
 
-/// Which anonymization algorithm a [`Publisher`] (and every session opened
-/// from it) runs. All three publish through the same
-/// [`AnonymizationStrategy`] contract; they differ in how groups are formed
-/// and which requirement kinds they can enforce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Algorithm {
-    /// Mondrian multidimensional local recoding — the default; enforces any
-    /// requirement combination.
-    #[default]
-    Mondrian,
-    /// Anatomy-style bucketization on the sensitive attribute; enforces
-    /// k-anonymity and distinct ℓ-diversity (the bucket invariant — ≥ ℓ
-    /// distinct sensitive values, size ≥ ℓ — implies both).
-    Bucketize,
-    /// Incognito-style full-domain generalization over the level lattice;
-    /// enforces any requirement combination.
-    FullDomain,
-}
-
-impl Algorithm {
-    /// The stable lowercase identifier (CLI flag value, genesis-file tag,
-    /// strategy [`name()`](AnonymizationStrategy::name)).
-    pub fn name(self) -> &'static str {
-        match self {
-            Algorithm::Mondrian => "mondrian",
-            Algorithm::Bucketize => "bucketize",
-            Algorithm::FullDomain => "fulldomain",
-        }
-    }
-
-    /// Parse the identifier [`name()`](Self::name) emits.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "mondrian" => Some(Algorithm::Mondrian),
-            "bucketize" => Some(Algorithm::Bucketize),
-            "fulldomain" => Some(Algorithm::FullDomain),
-            _ => None,
-        }
-    }
-}
-
 /// Errors from [`Publisher::publish`].
 #[derive(Debug, Clone)]
 pub enum PublishError {
@@ -113,6 +70,13 @@ pub enum PublishError {
         got: usize,
         /// Required dimension (number of QI attributes).
         expected: usize,
+    },
+    /// A declared spec value is out of range: k or ℓ below 1, a threshold
+    /// `t` outside [0, 1], a bandwidth component that is not finite and
+    /// positive, or a skyline with no points.
+    InvalidSpec {
+        /// Which value is out of range, and why.
+        reason: String,
     },
     /// The selected algorithm cannot produce (or incrementally maintain) a
     /// publication for these specs or this table — e.g. bucketization asked
@@ -143,6 +107,7 @@ impl fmt::Display for PublishError {
                     "bandwidth has {got} components, table has {expected} QI attributes"
                 )
             }
+            PublishError::InvalidSpec { reason } => write!(f, "invalid requirement: {reason}"),
             PublishError::Infeasible { reason } => write!(f, "infeasible: {reason}"),
         }
     }
@@ -283,8 +248,9 @@ impl Publisher {
         Ok(self.strategy(&requirement)?.describe())
     }
 
-    /// Build the [`AnyStrategy`] the declared [`Algorithm`] and specs
-    /// select, against an already-instantiated requirement.
+    /// Build the [`Strategy`] the declared [`Algorithm`] and specs select,
+    /// against an already-instantiated requirement (shared so audits and
+    /// the whole-table check use the same instance).
     ///
     /// Bucketization enforces only k-anonymity and distinct ℓ-diversity:
     /// every bucket carries ≥ ℓ distinct sensitive values and ≥ ℓ rows, so
@@ -296,15 +262,13 @@ impl Publisher {
     pub(crate) fn strategy(
         &self,
         requirement: &Arc<dyn PrivacyRequirement>,
-    ) -> Result<AnyStrategy, PublishError> {
+    ) -> Result<Strategy, PublishError> {
         let monotone_specs = self
             .specs
             .iter()
             .all(|s| matches!(s, Spec::K(_) | Spec::DistinctL(_)));
         match self.algorithm {
-            Algorithm::Mondrian => Ok(AnyStrategy::Mondrian(Mondrian::new(Arc::clone(
-                requirement,
-            )))),
+            Algorithm::Mondrian => Ok(Strategy::Mondrian(Mondrian::new(Arc::clone(requirement)))),
             Algorithm::Bucketize => {
                 if let Some(spec) = self
                     .specs
@@ -330,7 +294,7 @@ impl Publisher {
                     .max()
                     .unwrap_or(1)
                     .max(1);
-                Ok(AnyStrategy::Bucketize(Bucketize::new(l)))
+                Ok(Strategy::Bucketize(Bucketize::new(l)))
             }
             Algorithm::FullDomain => {
                 let strategy = if monotone_specs {
@@ -338,7 +302,7 @@ impl Publisher {
                 } else {
                     FullDomain::new_exhaustive(Arc::clone(requirement))
                 };
-                Ok(AnyStrategy::FullDomain(strategy))
+                Ok(Strategy::FullDomain(strategy))
             }
         }
     }
@@ -353,6 +317,9 @@ impl Publisher {
     }
 
     /// Instantiate this publisher's declarative specs against `table`.
+    /// Out-of-range spec values — from the builder or from a genesis file —
+    /// are rejected here with [`PublishError::InvalidSpec`], before they
+    /// reach the requirement constructors (which assert their ranges).
     pub(crate) fn instantiate(
         &self,
         table: &Table,
@@ -360,41 +327,58 @@ impl Publisher {
         if self.specs.is_empty() {
             return Err(PublishError::NoRequirements);
         }
+        let invalid = |reason: String| PublishError::InvalidSpec { reason };
+        let count = |n: usize, what: &str| match n {
+            0 => Err(invalid(format!("{what} must be at least 1"))),
+            n => Ok(n),
+        };
+        let threshold = |t: f64| match t {
+            t if (0.0..=1.0).contains(&t) => Ok(t),
+            t => Err(invalid(format!("t must be in [0, 1], got {t}"))),
+        };
+        let bandwidth = |v: Vec<f64>| Bandwidth::new(v).map_err(|e| invalid(e.to_string()));
         let d = table.qi_count();
         let mut parts: Vec<Box<dyn PrivacyRequirement>> = Vec::with_capacity(self.specs.len());
         for spec in &self.specs {
             let part: Box<dyn PrivacyRequirement> = match spec {
-                Spec::K(k) => Box::new(KAnonymity::new(*k)),
-                Spec::DistinctL(l) => Box::new(DistinctLDiversity::new(*l)),
-                Spec::ProbabilisticL(l) => Box::new(ProbabilisticLDiversity::new(*l)),
-                Spec::TCloseness(t) => Box::new(TCloseness::new(*t, table)),
-                Spec::Bt { bandwidth, t } => {
-                    let bw = match bandwidth {
-                        BandwidthSpec::Uniform(b) => {
-                            Bandwidth::uniform(*b, d).expect("validated by constructor")
-                        }
+                Spec::K(k) => Box::new(KAnonymity::new(count(*k, "k")?)),
+                Spec::DistinctL(l) => Box::new(DistinctLDiversity::new(count(*l, "ℓ")?)),
+                Spec::ProbabilisticL(l) => Box::new(ProbabilisticLDiversity::new(count(*l, "ℓ")?)),
+                Spec::TCloseness(t) => Box::new(TCloseness::new(threshold(*t)?, table)),
+                Spec::Bt { bandwidth: bw, t } => {
+                    let components = match bw {
+                        BandwidthSpec::Uniform(b) => vec![*b; d],
+                        BandwidthSpec::Vector(v) if v.len() == d => v.clone(),
                         BandwidthSpec::Vector(v) => {
-                            if v.len() != d {
-                                return Err(PublishError::BandwidthDimension {
-                                    got: v.len(),
-                                    expected: d,
-                                });
-                            }
-                            Bandwidth::new(v.clone()).expect("validated by constructor")
+                            return Err(PublishError::BandwidthDimension {
+                                got: v.len(),
+                                expected: d,
+                            })
                         }
                     };
-                    Box::new(BTPrivacy::new(table, bw, *t))
+                    Box::new(BTPrivacy::new(
+                        table,
+                        bandwidth(components)?,
+                        threshold(*t)?,
+                    ))
                 }
-                Spec::Skyline(pairs) => Box::new(SkylineBTPrivacy::from_pairs(table, pairs)),
+                Spec::Skyline(pairs) => {
+                    if pairs.is_empty() {
+                        return Err(invalid("a skyline needs at least one (b, t) point".into()));
+                    }
+                    for &(b, t) in pairs {
+                        bandwidth(vec![b; d])?;
+                        threshold(t)?;
+                    }
+                    Box::new(SkylineBTPrivacy::from_pairs(table, pairs))
+                }
             };
             parts.push(part);
         }
-        let requirement: Arc<dyn PrivacyRequirement> = if parts.len() == 1 {
-            parts.pop().expect("length checked").into()
-        } else {
-            Arc::new(And::new(parts))
-        };
-        Ok(requirement)
+        Ok(match <[_; 1]>::try_from(parts) {
+            Ok([only]) => only.into(),
+            Err(parts) => Arc::new(And::new(parts)),
+        })
     }
 
     /// The parallelism knob this publisher was configured with.
@@ -833,6 +817,48 @@ mod tests {
             .explain(&t)
             .unwrap();
         assert!(text.contains("bucketize") && text.contains('4'), "{text}");
+    }
+
+    #[test]
+    fn out_of_range_spec_values_are_errors_not_panics() {
+        let t = toy::hospital_table();
+        for publisher in [
+            Publisher::new().k_anonymity(0),
+            Publisher::new().distinct_l_diversity(0),
+            Publisher::new().probabilistic_l_diversity(0),
+            Publisher::new().t_closeness(1.5),
+            Publisher::new().t_closeness(f64::NAN),
+            Publisher::new().bt_privacy(0.0, 0.25),
+            Publisher::new().bt_privacy(f64::INFINITY, 0.25),
+            Publisher::new().bt_privacy(0.3, -0.1),
+            Publisher::new().bt_privacy_vector(vec![0.3, -1.0], 0.25),
+            Publisher::new().skyline(vec![]),
+            Publisher::new().skyline(vec![(0.3, 2.0)]),
+            Publisher::new().skyline(vec![(f64::NAN, 0.2)]),
+        ] {
+            let err = publisher.publish(&t).unwrap_err();
+            assert!(matches!(err, PublishError::InvalidSpec { .. }), "{err}");
+            assert!(publisher.open(&t).is_err());
+        }
+        // The same values arriving through a genesis file, which recovery
+        // instantiates.
+        for line in [
+            "spec k 0",
+            "spec distinct-l 0",
+            "spec probabilistic-l 0",
+            "spec t-closeness 1.5",
+            "spec bt-uniform 0 0.25",
+            "spec bt-uniform 0.3 NaN",
+            "spec bt-vector 0.25 0.3 inf",
+            "spec skyline 0.3 2",
+        ] {
+            let publisher = Publisher::from_spec_lines([line]).expect("well-formed line");
+            let err = publisher.instantiate(&t).err().expect(line);
+            assert!(
+                err.to_string().starts_with("invalid requirement"),
+                "{line}: {err}"
+            );
+        }
     }
 
     #[test]

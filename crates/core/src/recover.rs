@@ -13,8 +13,7 @@
 //! * `checkpoint.tbl` — rewritten atomically (tmp + fsync + rename + dir
 //!   fsync) every [`checkpoint_every`](crate::wal::DurabilityOptions::checkpoint_every)
 //!   applied deltas: the version-`K` table, a `strategy <name>` tag, the
-//!   strategy's exported state block
-//!   ([`SessionStrategy::export_state`](crate::strategy::SessionStrategy)),
+//!   strategy's exported state block (the line codecs in `strategy.rs`),
 //!   and every session-built tracked adversary model (serialized with the
 //!   versioned `bgkanon-knowledge::persist` format — `save_model`/
 //!   `load_model` generalized from "the whole file" to "a block inside a
@@ -47,9 +46,9 @@ use bgkanon_data::{
 };
 use bgkanon_knowledge::{load_model_str, save_model_string, PriorModel};
 
-use crate::publisher::Publisher;
+use crate::publisher::{Algorithm, Publisher};
 use crate::session::PublishSession;
-use crate::strategy::SessionStrategy;
+use crate::strategy;
 use crate::wal::{self, fnv1a64, DurabilityOptions, SyncPolicy, WalError};
 
 /// Genesis-file magic line (v2: columnar table block, one line per
@@ -112,9 +111,9 @@ pub struct TenantRecovery {
 }
 
 /// A successfully recovered tenant, ready for the hub to install.
-pub(crate) struct RecoveredTenant<S: SessionStrategy> {
+pub(crate) struct RecoveredTenant {
     pub(crate) name: String,
-    pub(crate) session: PublishSession<S>,
+    pub(crate) session: PublishSession,
     pub(crate) version: u64,
     pub(crate) from_checkpoint: Option<u64>,
     pub(crate) replayed: usize,
@@ -582,17 +581,17 @@ fn parse_genesis(text: &str) -> Result<Genesis, String> {
 /// current table, the session strategy's tag and exported state block, and
 /// every tracked adversary model (via the knowledge crate's versioned
 /// persist format).
-pub(crate) fn write_checkpoint<S: SessionStrategy>(
+pub(crate) fn write_checkpoint(
     dir: &Path,
     version: u64,
-    session: &PublishSession<S>,
+    session: &PublishSession,
 ) -> std::io::Result<()> {
     let mut out = String::new();
     let _ = writeln!(out, "{CHECKPOINT_MAGIC_V3}");
     let _ = writeln!(out, "version {version}");
-    let _ = writeln!(out, "strategy {}", session.strategy().name());
+    let _ = writeln!(out, "strategy {}", session.planted().algorithm().name());
     push_table_block(&mut out, session.table());
-    let state_lines = S::export_state(session.strategy_state());
+    let state_lines = strategy::export_state(session.planted());
     let _ = writeln!(out, "state {}", state_lines.len());
     for line in &state_lines {
         out.push_str(line);
@@ -619,8 +618,8 @@ struct Checkpoint {
     strategy: Option<String>,
     table: Table,
     /// The strategy's state block, verbatim — decoded and validated by
-    /// [`SessionStrategy::import_state`] against the concrete strategy, not
-    /// here. For untagged files this is the legacy tree block (including
+    /// `strategy::import_state` against the genesis publisher's strategy,
+    /// not here. For untagged files this is the legacy tree block (including
     /// its `tree <n>` head line), which is byte-identical to the Mondrian
     /// strategy's encoding.
     state_lines: Vec<String>,
@@ -694,10 +693,10 @@ fn parse_checkpoint(text: &str, schema: &Arc<Schema>) -> Result<Checkpoint, Stri
 
 /// Recover one tenant directory. `Err(reason)` means the tenant is
 /// unrecoverable: the hub reports it and serves nothing for it.
-pub(crate) fn recover_tenant_dir<S: SessionStrategy>(
+pub(crate) fn recover_tenant_dir(
     dir: &Path,
     options: &DurabilityOptions,
-) -> Result<RecoveredTenant<S>, String> {
+) -> Result<RecoveredTenant, String> {
     let genesis_text = std::fs::read_to_string(dir.join("genesis.tbl"))
         .map_err(|e| format!("unreadable genesis.tbl: {e}"))?;
     let genesis = parse_genesis(&genesis_text)?;
@@ -750,37 +749,36 @@ pub(crate) fn recover_tenant_dir<S: SessionStrategy>(
                 .publisher
                 .instantiate(&genesis.table)
                 .map_err(|e| format!("could not re-instantiate the requirement: {e}"))?;
-            let strategy = S::from_publisher(&genesis.publisher, &requirement)
+            let strategy = genesis
+                .publisher
+                .strategy(&requirement)
                 .map_err(|e| format!("could not rebuild the strategy: {e}"))?;
+            let selected = strategy.algorithm().name();
             match ck.strategy.as_deref() {
-                Some(tag) if tag != strategy.name() => {
+                Some(tag) if tag != selected => {
                     return Err(format!(
                         "checkpoint is tagged strategy `{tag}` but the genesis publisher \
-                         selects `{}`",
-                        strategy.name()
+                         selects `{selected}`"
                     ));
                 }
                 // Untagged (pre-v3) checkpoints were written by the
                 // Mondrian-only engine; their tree block only decodes as a
                 // Mondrian state.
-                None if strategy.name() != "mondrian" => {
+                None if strategy.algorithm() != Algorithm::Mondrian => {
                     return Err(format!(
                         "untagged (pre-v3) checkpoint can only resume a mondrian session, \
-                         but the genesis publisher selects `{}`",
-                        strategy.name()
+                         but the genesis publisher selects `{selected}`"
                     ));
                 }
                 _ => {}
             }
-            let state = strategy
-                .import_state(&ck.table, &ck.state_lines)
+            let planted = strategy::import_state(strategy, &ck.table, &ck.state_lines)
                 .map_err(|e| format!("checkpoint: {e}"))?;
             let mut session = PublishSession::resume(
                 ck.table,
                 requirement,
                 Parallelism::Auto,
-                strategy,
-                state,
+                planted,
                 ck.version as usize,
             );
             for (b_prime, model) in ck.priors {
@@ -883,7 +881,6 @@ pub(crate) fn reopen_wal(dir: &Path, sync: SyncPolicy) -> std::io::Result<wal::W
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgkanon_anon::AnyStrategy;
     use bgkanon_data::{adult, toy, DeltaBuilder};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1013,10 +1010,10 @@ mod tests {
         assert_eq!(ck.strategy.as_deref(), Some("mondrian"));
         assert_eq!(ck.priors.len(), 1);
         let requirement = publisher.instantiate(&table).unwrap();
-        let strategy = AnyStrategy::from_publisher(&publisher, &requirement).unwrap();
-        let state = strategy.import_state(&ck.table, &ck.state_lines).unwrap();
+        let strategy = publisher.strategy(&requirement).unwrap();
+        let planted = strategy::import_state(strategy, &ck.table, &ck.state_lines).unwrap();
         let mut resumed =
-            PublishSession::resume(ck.table, requirement, Parallelism::Auto, strategy, state, 1);
+            PublishSession::resume(ck.table, requirement, Parallelism::Auto, planted, 1);
         for (bp, model) in ck.priors {
             assert!(resumed.restore_tracked_prior(bp, model));
         }
@@ -1180,7 +1177,7 @@ mod tests {
         let table = adult::generate(150, 11);
         let publisher = Publisher::new().k_anonymity(4);
         let (expected_groups, expected_version) = {
-            let (hub, report) = SessionHub::<AnyStrategy>::open_with(&dir, opts).unwrap();
+            let (hub, report) = SessionHub::open_with(&dir, opts).unwrap();
             assert!(report.is_clean());
             hub.register("t", &table, &publisher).unwrap();
             // Three deltas: the checkpoint lands at version 2, the WAL
@@ -1212,7 +1209,7 @@ mod tests {
         downgrade_to_v1(&tenant_dir.join("genesis.tbl"));
         downgrade_to_v1(&tenant_dir.join("checkpoint.tbl"));
 
-        let (hub, report) = SessionHub::<AnyStrategy>::open_with(&dir, opts).unwrap();
+        let (hub, report) = SessionHub::open_with(&dir, opts).unwrap();
         assert!(report.is_clean(), "{:?}", report.unrecoverable());
         assert_eq!(report.tenants.len(), 1);
         assert_eq!(report.tenants[0].from_checkpoint, Some(2));
@@ -1243,7 +1240,7 @@ mod tests {
         let table = adult::generate(150, 12);
         let publisher = Publisher::new().k_anonymity(4);
         let expected_groups = {
-            let (hub, report) = SessionHub::<AnyStrategy>::open_with(&dir, opts).unwrap();
+            let (hub, report) = SessionHub::open_with(&dir, opts).unwrap();
             assert!(report.is_clean());
             hub.register("t", &table, &publisher).unwrap();
             let mut snap = hub.snapshot("t").unwrap();
@@ -1270,7 +1267,7 @@ mod tests {
         let tenant_dir = dir.join(dir_name_for("t"));
         downgrade_checkpoint_to_v2(&tenant_dir.join("checkpoint.tbl"));
 
-        let (hub, report) = SessionHub::<AnyStrategy>::open_with(&dir, opts).unwrap();
+        let (hub, report) = SessionHub::open_with(&dir, opts).unwrap();
         assert!(report.is_clean(), "{:?}", report.unrecoverable());
         assert_eq!(report.tenants[0].from_checkpoint, Some(2));
         assert_eq!(report.tenants[0].replayed, 1);
@@ -1305,8 +1302,8 @@ mod tests {
         let import = |text: &str| -> Result<(), String> {
             let ck = parse_checkpoint(text, table.schema())?;
             let requirement = publisher.instantiate(&table).unwrap();
-            let strategy = AnyStrategy::from_publisher(&publisher, &requirement).unwrap();
-            strategy.import_state(&ck.table, &ck.state_lines).map(drop)
+            let strategy = publisher.strategy(&requirement).unwrap();
+            strategy::import_state(strategy, &ck.table, &ck.state_lines).map(drop)
         };
         assert!(import(&good).is_ok());
         let body = check_trailer(&good, "checkpoint").unwrap();

@@ -8,9 +8,9 @@
 //!   the publisher's threat model holds still while the data moves);
 //! * the retained strategy state (Mondrian's
 //!   [`PartitionTree`](bgkanon_anon::PartitionTree), a bucket list, a
-//!   generalization-lattice frontier — the session is generic over
-//!   [`SessionStrategy`]), so a [`Delta`] reworks only what it dirties
-//!   through [`AnonymizationStrategy::refresh`](bgkanon_anon::AnonymizationStrategy::refresh);
+//!   generalization-lattice frontier — one [`Planted`] value whatever the
+//!   publisher's [`Algorithm`](crate::Algorithm)), so a [`Delta`] reworks
+//!   only what it dirties through [`Planted::refresh`];
 //! * per-adversary [`AuditSession`]s whose group-risk caches are
 //!   invalidated by leaf stamp — an audit after a delta recomputes Ω only
 //!   for the groups the delta touched;
@@ -34,14 +34,13 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bgkanon_anon::{AnonymizedTable, AnyStrategy, StrategyState};
+use bgkanon_anon::{AnonymizedTable, Planted};
 use bgkanon_data::{Delta, Parallelism, Table};
 use bgkanon_knowledge::{Adversary, Bandwidth, PriorEstimator, PriorModel};
 use bgkanon_privacy::{AuditReport, AuditSession, Auditor, PrivacyRequirement};
 use bgkanon_stats::SmoothedJs;
 
 use crate::publisher::{whole_table_satisfies, PublishError, PublishOutcome, Publisher};
-use crate::strategy::SessionStrategy;
 
 /// Errors from [`PublishSession::apply`] and the
 /// [`SessionHub`](crate::SessionHub) operations built on top of it.
@@ -174,19 +173,12 @@ struct AuditCache {
 /// );
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-///
-/// The session is generic over its [`SessionStrategy`]; the default
-/// [`AnyStrategy`] dispatches at runtime on the publisher's
-/// [`Algorithm`](crate::publisher::Algorithm) selection, while a concrete
-/// parameter (`PublishSession<Mondrian>`, `PublishSession<Bucketize>`,
-/// `PublishSession<FullDomain>`) fixes it at compile time.
-pub struct PublishSession<S: SessionStrategy = AnyStrategy> {
+pub struct PublishSession {
     requirement: Arc<dyn PrivacyRequirement>,
     requirement_name: String,
-    strategy: S,
     parallelism: Parallelism,
     table: Table,
-    state: S::State,
+    planted: Planted,
     anonymized: AnonymizedTable,
     stamps: Vec<u64>,
     audits: Vec<AuditCache>,
@@ -194,7 +186,7 @@ pub struct PublishSession<S: SessionStrategy = AnyStrategy> {
     deltas_applied: usize,
 }
 
-impl<S: SessionStrategy> PublishSession<S> {
+impl PublishSession {
     /// Open a session: instantiate `publisher`'s requirements against
     /// `table` (they stay fixed for the session's lifetime), plant the
     /// strategy state and derive the first publication.
@@ -206,22 +198,21 @@ impl<S: SessionStrategy> PublishSession<S> {
             });
         }
         let parallelism = publisher.parallelism_knob();
-        let strategy = S::from_publisher(publisher, &requirement)?;
+        let strategy = publisher.strategy(&requirement)?;
         let started = Instant::now(); // bgk-allow: R3 telemetry only: elapsed is reported, never branches
-        let mut state = strategy.plant_with(table, parallelism)?;
+        let mut planted = strategy.plant_with(table, parallelism)?;
         let last_elapsed = started.elapsed();
         // Amortize the refresh engine's derived caches (e.g. Mondrian's
         // per-node histograms) up front so the first delta runs at
         // steady-state speed.
-        strategy.warm(&mut state, table);
-        let (anonymized, stamps) = state.snapshot(table);
+        planted.warm(table);
+        let (anonymized, stamps) = planted.snapshot(table);
         Ok(PublishSession {
             requirement_name: requirement.name(),
             requirement,
-            strategy,
             parallelism,
             table: table.clone(),
-            state,
+            planted,
             anonymized,
             stamps,
             audits: Vec::new(),
@@ -231,11 +222,11 @@ impl<S: SessionStrategy> PublishSession<S> {
     }
 
     /// Rebuild a session from recovered durable state ([`crate::recover`]):
-    /// a checkpointed `table` + strategy `state` pair and the requirement
+    /// a checkpointed `table` + `planted` state pair and the requirement
     /// re-instantiated from the genesis table. The state is adopted as-is —
     /// no re-partitioning — so the resumed publication is bit-identical to
-    /// the one the checkpoint captured; [`AnonymizationStrategy::warm`]
-    /// only rebuilds derived refresh caches.
+    /// the one the checkpoint captured; [`Planted::warm`] only rebuilds
+    /// derived refresh caches.
     ///
     /// Audit caches start empty; tracked priors are restored separately via
     /// [`restore_tracked_prior`](Self::restore_tracked_prior).
@@ -243,19 +234,17 @@ impl<S: SessionStrategy> PublishSession<S> {
         table: Table,
         requirement: Arc<dyn PrivacyRequirement>,
         parallelism: Parallelism,
-        strategy: S,
-        mut state: S::State,
+        mut planted: Planted,
         deltas_applied: usize,
     ) -> Self {
-        strategy.warm(&mut state, &table);
-        let (anonymized, stamps) = state.snapshot(&table);
+        planted.warm(&table);
+        let (anonymized, stamps) = planted.snapshot(&table);
         PublishSession {
             requirement_name: requirement.name(),
             requirement,
-            strategy,
             parallelism,
             table,
-            state,
+            planted,
             anonymized,
             stamps,
             audits: Vec::new(),
@@ -346,8 +335,8 @@ impl<S: SessionStrategy> PublishSession<S> {
                                       // leaves the state untouched on error, so a rejected delta
                                       // (e.g. bucketization losing ℓ-eligibility) leaves the whole
                                       // session unchanged — including the tracked priors below.
-        self.strategy
-            .refresh(&mut self.state, &self.table, &next, delta.deletes())
+        self.planted
+            .refresh(&self.table, &next, delta.deletes())
             .map_err(PublishError::from)?;
         self.last_elapsed = started.elapsed();
         let t2 = Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
@@ -356,7 +345,7 @@ impl<S: SessionStrategy> PublishSession<S> {
                                  // it currently reflects (external auditors stay caller-frozen).
         self.refresh_tracked_priors(delta);
         let t3 = Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
-        let (anonymized, stamps) = self.state.snapshot(&next);
+        let (anonymized, stamps) = self.planted.snapshot(&next);
         let t4 = Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
         self.table = next;
         self.anonymized = anonymized;
@@ -400,16 +389,10 @@ impl<S: SessionStrategy> PublishSession<S> {
         &self.anonymized
     }
 
-    /// The session's strategy (for checkpointing: its
-    /// [`name()`](AnonymizationStrategy::name) tags the file).
-    pub(crate) fn strategy(&self) -> &S {
-        &self.strategy
-    }
-
-    /// The retained strategy state (for checkpointing via
-    /// [`SessionStrategy::export_state`]).
-    pub(crate) fn strategy_state(&self) -> &S::State {
-        &self.state
+    /// The retained strategy state, paired with its algorithm (what a
+    /// checkpoint tags and persists).
+    pub(crate) fn planted(&self) -> &Planted {
+        &self.planted
     }
 
     /// The per-group stamps of the current publication, aligned with
@@ -543,7 +526,7 @@ impl<S: SessionStrategy> PublishSession<S> {
             })
             .sum();
         self.table.bytes_accounted()
-            + self.state.bytes_accounted()
+            + self.planted.bytes_accounted()
             + self.anonymized.bytes_accounted()
             + self.stamps.len() * 8
             + audits
@@ -651,10 +634,10 @@ impl<S: SessionStrategy> PublishSession<S> {
     }
 }
 
-impl<S: SessionStrategy> fmt::Debug for PublishSession<S> {
+impl fmt::Debug for PublishSession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PublishSession")
-            .field("strategy", &self.strategy.name())
+            .field("strategy", &self.planted.algorithm().name())
             .field("requirement", &self.requirement_name)
             .field("rows", &self.table.len())
             .field("groups", &self.anonymized.group_count())
@@ -898,22 +881,22 @@ mod tests {
         let t = adult::generate(80, 3);
         let mut session = Publisher::new().k_anonymity(3).open(&t).unwrap();
         // Distinct bandwidths force distinct cache entries.
-        for i in 0..(PublishSession::<AnyStrategy>::MAX_AUDIT_CACHES + 3) {
+        for i in 0..(PublishSession::MAX_AUDIT_CACHES + 3) {
             let b = 0.2 + 0.01 * i as f64;
             let _ = session.audit_against(b, 0.2);
         }
         assert_eq!(
             session.audit_cache_count(),
-            PublishSession::<AnyStrategy>::MAX_AUDIT_CACHES
+            PublishSession::MAX_AUDIT_CACHES
         );
         // The most recent entry survived and replays bit-identically.
-        let b_last = 0.2 + 0.01 * (PublishSession::<AnyStrategy>::MAX_AUDIT_CACHES + 2) as f64;
+        let b_last = 0.2 + 0.01 * (PublishSession::MAX_AUDIT_CACHES + 2) as f64;
         let a = session.audit_against(b_last, 0.2);
         let b = session.audit_against(b_last, 0.2);
         assert_eq!(a.worst_case.to_bits(), b.worst_case.to_bits());
         assert_eq!(
             session.audit_cache_count(),
-            PublishSession::<AnyStrategy>::MAX_AUDIT_CACHES
+            PublishSession::MAX_AUDIT_CACHES
         );
     }
 
@@ -930,17 +913,16 @@ mod tests {
     #[test]
     fn concrete_strategy_sessions_match_their_publishers() {
         use crate::publisher::Algorithm;
-        use bgkanon_anon::{Bucketize, FullDomain, Mondrian};
         let t = adult::generate(250, 21);
         let d = delta(&t, &[3, 40, 99], 5, 7);
-
-        fn check<S: crate::strategy::SessionStrategy>(
-            table: &Table,
-            d: &Delta,
-            publisher: &Publisher,
-        ) {
-            let mut session: PublishSession<S> = PublishSession::open(table, publisher).unwrap();
-            session.apply(d).unwrap();
+        for algorithm in [
+            Algorithm::Mondrian,
+            Algorithm::Bucketize,
+            Algorithm::FullDomain,
+        ] {
+            let publisher = Publisher::new().k_anonymity(3).algorithm(algorithm);
+            let mut session = publisher.open(&t).unwrap();
+            session.apply(&d).unwrap();
             let fresh = publisher.publish(session.table()).unwrap();
             assert_eq!(
                 session.anonymized().group_count(),
@@ -957,54 +939,16 @@ mod tests {
                 assert_eq!(a.sensitive_counts, b.sensitive_counts);
             }
         }
-
-        check::<Mondrian>(&t, &d, &Publisher::new().k_anonymity(3));
-        check::<Bucketize>(
-            &t,
-            &d,
-            &Publisher::new()
-                .k_anonymity(3)
-                .algorithm(Algorithm::Bucketize),
-        );
-        check::<FullDomain>(
-            &t,
-            &d,
-            &Publisher::new()
-                .k_anonymity(3)
-                .algorithm(Algorithm::FullDomain),
-        );
-        // The default runtime-dispatched parameter follows the publisher's
-        // algorithm selection.
-        check::<AnyStrategy>(
-            &t,
-            &d,
-            &Publisher::new()
-                .k_anonymity(3)
-                .algorithm(Algorithm::Bucketize),
-        );
-    }
-
-    #[test]
-    fn concrete_session_rejects_a_mismatched_publisher() {
-        use crate::publisher::Algorithm;
-        use bgkanon_anon::Bucketize;
-        let t = adult::generate(80, 23);
-        let publisher = Publisher::new()
-            .k_anonymity(3)
-            .algorithm(Algorithm::FullDomain);
-        let err = PublishSession::<Bucketize>::open(&t, &publisher).unwrap_err();
-        assert!(matches!(err, PublishError::Infeasible { .. }), "{err}");
     }
 
     #[test]
     fn infeasible_strategy_refresh_leaves_the_session_unchanged() {
         use crate::publisher::Algorithm;
-        use bgkanon_anon::Bucketize;
         let t = adult::generate(60, 22);
         let publisher = Publisher::new()
             .k_anonymity(3)
             .algorithm(Algorithm::Bucketize);
-        let mut session: PublishSession<Bucketize> = PublishSession::open(&t, &publisher).unwrap();
+        let mut session = publisher.open(&t).unwrap();
         let before: Vec<Vec<usize>> = session
             .anonymized()
             .groups()

@@ -1,22 +1,17 @@
-//! Strategy-trait contract tests: every [`AnonymizationStrategy`] behind the
-//! redesigned session API — Mondrian, bucketization, full-domain
-//! generalization — must produce incremental refreshes bit-identical to a
-//! from-scratch publish, plant identically under any engine, and coexist
-//! inside one [`SessionHub`]. Concrete session types must reject publishers
-//! whose algorithm knob selects a different strategy.
+//! Strategy contract tests: every [`Strategy`] behind the session API —
+//! Mondrian, bucketization, full-domain generalization — must produce
+//! incremental refreshes bit-identical to a from-scratch publish, plant
+//! identically under any engine, and coexist inside one [`SessionHub`].
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
-use bgkanon::anon::{AnonymizationStrategy, StrategyState};
+use bgkanon::anon::Strategy;
 use bgkanon::data::{adult, Delta, DeltaBuilder, Parallelism, Table};
 use bgkanon::prelude::*;
-use bgkanon::{PublishError, SessionError};
-
-/// The hub most tests exercise: the default, algorithm-dispatching strategy.
-type SessionHub = bgkanon::SessionHub;
+use bgkanon::{DurabilityOptions, PublishError};
 
 /// A pseudo-random delta over `table` (the `incremental.rs` generator).
 fn random_delta(table: &Table, rng: &mut SmallRng, del_frac: f64, inserts: usize) -> Delta {
@@ -67,29 +62,29 @@ const ALGORITHMS: [Algorithm; 3] = [
 #[test]
 fn plant_with_any_engine_matches_the_serial_plant() {
     let table = adult::generate(240, 41);
-    let mondrian = Mondrian::new(Arc::new(KAnonymity::new(4)));
-    let bucketize = Bucketize::new(3);
-    let fulldomain = FullDomain::new_monotone(Arc::new(KAnonymity::new(4)));
-
-    fn check<S: AnonymizationStrategy>(strategy: &S, table: &Table) {
-        let serial = strategy
-            .plant_with(table, Parallelism::Serial)
-            .unwrap_or_else(|e| panic!("{}: serial plant: {}", strategy.name(), e.reason));
-        for engine in [Parallelism::Auto, Parallelism::threads(3)] {
-            let planted = strategy
-                .plant_with(table, engine)
-                .unwrap_or_else(|e| panic!("{}: parallel plant: {}", strategy.name(), e.reason));
+    let strategies = || {
+        [
+            Strategy::Mondrian(Mondrian::new(Arc::new(KAnonymity::new(4)))),
+            Strategy::Bucketize(Bucketize::new(3)),
+            Strategy::FullDomain(FullDomain::new_monotone(Arc::new(KAnonymity::new(4)))),
+        ]
+    };
+    for engine in [Parallelism::Auto, Parallelism::threads(3)] {
+        for (serial, parallel) in strategies().into_iter().zip(strategies()) {
+            let name = serial.algorithm().name();
+            let serial = serial
+                .plant_with(&table, Parallelism::Serial)
+                .unwrap_or_else(|e| panic!("{name}: serial plant: {}", e.reason));
+            let planted = parallel
+                .plant_with(&table, engine)
+                .unwrap_or_else(|e| panic!("{name}: parallel plant: {}", e.reason));
             // Leaf stamps are per-plant identifiers, not part of the
             // publication; only the published groups must be identical.
-            let (a, _) = serial.snapshot(table);
-            let (b, _) = planted.snapshot(table);
-            assert_same_publication(&a, &b, strategy.name());
+            let (a, _) = serial.snapshot(&table);
+            let (b, _) = planted.snapshot(&table);
+            assert_same_publication(&a, &b, name);
         }
     }
-
-    check(&mondrian, &table);
-    check(&bucketize, &table);
-    check(&fulldomain, &table);
 }
 
 proptest! {
@@ -162,45 +157,47 @@ fn one_hub_hosts_every_algorithm_side_by_side() {
     }
 }
 
-/// Concrete session and hub types pin the algorithm: publishers whose knob
-/// selects a different strategy are rejected up front with a typed
-/// `Infeasible` error, and matched publishers work normally.
+/// The algorithm tags live in one place: every [`Algorithm`] parses back
+/// from its name, and a durable tenant's checkpoint `strategy` tag equals
+/// its genesis `algorithm` line (absent for Mondrian, the legacy shape).
 #[test]
-fn concrete_session_types_reject_mismatched_publishers() {
-    let table = adult::generate(120, 5);
-
-    let Err(err) = PublishSession::<Bucketize>::open(&table, &publisher_for(Algorithm::FullDomain))
-    else {
-        panic!("a fulldomain publisher must not open a bucketize session")
-    };
-    match err {
-        PublishError::Infeasible { reason } => {
-            assert!(reason.contains("fulldomain"), "{reason}");
-            assert!(reason.contains("bucketize"), "{reason}");
+fn algorithm_tags_agree_across_genesis_and_checkpoint() {
+    for algorithm in ALGORITHMS {
+        assert_eq!(Algorithm::parse(algorithm.name()), Some(algorithm));
+        let dir = std::env::temp_dir().join(format!(
+            "bgkanon_strategies_tags_{}_{}",
+            algorithm.name(),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = DurabilityOptions {
+            checkpoint_every: 1,
+            ..DurabilityOptions::default()
+        };
+        let (hub, _) = SessionHub::open_with(&dir, options).unwrap();
+        hub.register("t", &adult::generate(150, 21), &publisher_for(algorithm))
+            .unwrap();
+        let mut rng = SmallRng::seed_from_u64(7);
+        while hub.snapshot("t").unwrap().version() == 0 {
+            let delta = random_delta(hub.snapshot("t").unwrap().table(), &mut rng, 0.03, 3);
+            let _ = hub.apply("t", &delta);
         }
-        other => panic!("expected Infeasible, got {other:?}"),
+        drop(hub);
+        let tag = |file: &str, key: &str| {
+            std::fs::read_to_string(dir.join("t").join(file))
+                .unwrap()
+                .lines()
+                .find_map(|line| line.strip_prefix(key).map(str::to_owned))
+        };
+        let genesis = tag("genesis.tbl", "algorithm ");
+        let checkpoint = tag("checkpoint.tbl", "strategy ");
+        assert_eq!(
+            genesis.as_deref().unwrap_or(Algorithm::default().name()),
+            algorithm.name()
+        );
+        assert_eq!(checkpoint.as_deref(), Some(algorithm.name()));
+        std::fs::remove_dir_all(&dir).ok();
     }
-
-    let mut session =
-        PublishSession::<Bucketize>::open(&table, &publisher_for(Algorithm::Bucketize)).unwrap();
-    let mut rng = SmallRng::seed_from_u64(11);
-    let delta = random_delta(session.table(), &mut rng, 0.03, 3);
-    let _ = session.apply(&delta);
-    let fresh = publisher_for(Algorithm::Bucketize)
-        .publish(session.table())
-        .unwrap();
-    assert_same_publication(session.anonymized(), &fresh.anonymized, "typed bucketize");
-
-    let hub = bgkanon::SessionHub::<FullDomain>::new();
-    match hub.register("t", &table, &publisher_for(Algorithm::Mondrian)) {
-        Err(SessionError::Publish(PublishError::Infeasible { reason })) => {
-            assert!(reason.contains("mondrian"), "{reason}");
-        }
-        other => panic!("expected a publish-infeasible rejection, got {other:?}"),
-    }
-    hub.register("t", &table, &publisher_for(Algorithm::FullDomain))
-        .unwrap();
-    assert_eq!(hub.snapshot("t").unwrap().version(), 0);
 }
 
 /// Skyline (B,t)-privacy flows through the redesigned API end to end: a
