@@ -350,9 +350,18 @@ fn explain_if_asked(
     Ok(())
 }
 
-fn audit(flags: &HashMap<String, String>) -> Result<(), String> {
-    let (_, mut session) = open_session(flags)?;
+/// `--b-prime` (default 0.3), checked as an adversary bandwidth before
+/// any work is done with it.
+fn parse_b_prime(flags: &HashMap<String, String>) -> Result<f64, String> {
     let b_prime: f64 = parse(flags, "b-prime")?.unwrap_or(0.3);
+    bgkanon::knowledge::Bandwidth::uniform(b_prime, 1)
+        .map_err(|e| format!("invalid --b-prime {b_prime}: {e}"))?;
+    Ok(b_prime)
+}
+
+fn audit(flags: &HashMap<String, String>) -> Result<(), String> {
+    let b_prime = parse_b_prime(flags)?;
+    let (_, mut session) = open_session(flags)?;
     let t: f64 = parse(flags, "t")?.unwrap_or(0.25);
     let report = session.audit_against(b_prime, t);
     println!("requirement : {}", session.requirement_name());
@@ -395,7 +404,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let readers: usize = parse(flags, "readers")?.unwrap_or(2);
     let audit_rounds: usize = parse(flags, "audits")?.unwrap_or(6);
     let seed: u64 = parse(flags, "seed")?.unwrap_or(42);
-    let b_prime: f64 = parse(flags, "b-prime")?.unwrap_or(0.3);
+    let b_prime = parse_b_prime(flags)?;
     let t: f64 = parse(flags, "t")?.unwrap_or(0.25);
     let publisher = if flags.contains_key("model") {
         build_publisher(flags)?
@@ -477,7 +486,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
                 let adversary = Arc::new(bgkanon::knowledge::Adversary::kernel(
                     snap.table(),
                     bgkanon::knowledge::Bandwidth::uniform(b_prime, snap.table().qi_count())
-                        .expect("positive bandwidth"),
+                        .expect("--b-prime was checked"),
                 ));
                 let measure: Arc<dyn BeliefDistance> = Arc::new(SmoothedJs::paper_default(
                     snap.table().schema().sensitive_distance(),
@@ -719,6 +728,18 @@ mod tests {
         assert_eq!(parse::<f64>(&f, "t").unwrap(), Some(0.2));
         assert_eq!(parse::<usize>(&f, "absent").unwrap(), None);
         assert!(parse::<usize>(&f, "t").is_err());
+    }
+
+    #[test]
+    fn b_prime_must_be_a_positive_finite_bandwidth() {
+        assert_eq!(parse_b_prime(&flags(&[])).unwrap(), 0.3);
+        assert_eq!(parse_b_prime(&flags(&[("b-prime", "0.5")])).unwrap(), 0.5);
+        for bad in ["0", "-1", "NaN", "inf"] {
+            let err = parse_b_prime(&flags(&[("b-prime", bad)])).unwrap_err();
+            assert!(err.contains("--b-prime"), "{bad}: {err}");
+        }
+        let err = serve(&flags(&[("tenants", "1"), ("b-prime", "0")])).unwrap_err();
+        assert!(err.contains("--b-prime"), "{err}");
     }
 
     #[test]

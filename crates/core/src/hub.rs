@@ -62,7 +62,10 @@
 //!   points whose fold changed is recomputed, however many versions were
 //!   skipped) and carries over every audit-memo entry whose priors did not
 //!   change ([`SharedAuditSession::successor`]). Eviction drops the chain;
-//!   a rehydrated tenant estimates afresh, bit-identically.
+//!   a rehydrated tenant estimates afresh, bit-identically. The refresh
+//!   step, the audit-cache key and the LRU cap are the ones
+//!   [`PublishSession::audit_against`] uses; the hub adds the intern
+//!   lookup around the refresh.
 //!
 //! Correctness bar (enforced by `tests/tests/hub.rs`,
 //! `tests/tests/recovery.rs` and `tests/tests/fleet.rs`): under any
@@ -87,16 +90,13 @@ use bgkanon_knowledge::{
 use bgkanon_privacy::{AuditReport, Auditor, SharedAuditSession};
 use bgkanon_stats::SmoothedJs;
 
-use crate::publisher::Publisher;
+use crate::publisher::{PublishError, Publisher};
 use crate::recover::{self, RecoveryReport, TenantRecovery};
-use crate::session::{PublishSession, SessionError};
+use crate::session::{adversary_b_prime, chain_prior, AuditKey, PublishSession, SessionError};
 use crate::wal::{encode_record, DurabilityOptions, WalWriter};
 
 /// Default registry shard count ([`SessionHub::DEFAULT_SHARDS`]).
 const DEFAULT_SHARD_COUNT: usize = 16;
-
-/// Per-tenant reader-cache cap ([`SessionHub::MAX_READER_CACHES`]).
-const READER_CACHE_CAP: usize = 8;
 
 /// Recover a lock from a poisoned peer. The hub's guarded state is kept
 /// consistent at every await-free step (a panicking writer leaves either
@@ -217,28 +217,10 @@ impl TenantSnapshot {
     }
 }
 
-/// Key of one retained reader-audit configuration of a tenant.
-#[derive(Debug, PartialEq, Eq, Clone, Copy)]
-enum ReaderKey {
-    /// Externally supplied auditor: adversary + measure instance addresses
-    /// plus the exact-inference cutoff. Valid across versions — the
-    /// caller's model is frozen by definition, so stamp hits replay across
-    /// deltas (the Fig. 1 "reuse the prior across releases" accounting).
-    External(usize, usize, usize),
-    /// Hub-built `Adv(b')`, keyed by bandwidth bits **and the version it
-    /// was built from**: the adversary the current table implies changes
-    /// with the table, so an audit of a newer version never replays this
-    /// session's stamps. At most one entry per bandwidth is kept: after an
-    /// apply, the entry of the superseded version stays as the **chain
-    /// base** that the next version's session is refreshed from (charged
-    /// to the tenant's reader bytes like any reader cache).
-    Bandwidth(u64, u64),
-}
-
 /// One retained reader-audit configuration: the shared session whose caches
 /// all reader threads of this tenant go through.
 struct ReaderCache {
-    key: ReaderKey,
+    key: AuditKey,
     session: Arc<SharedAuditSession>,
 }
 
@@ -283,7 +265,8 @@ struct Tenant {
     /// only for the `Arc` swap after a delta; read-locked only for an
     /// `Arc` clone.
     published: RwLock<Option<Arc<TenantSnapshot>>>,
-    /// Reader-audit configurations, LRU-bounded like a session's caches.
+    /// Reader-audit configurations, LRU-bounded at
+    /// [`PublishSession::MAX_AUDIT_CACHES`] like a session's caches.
     readers: Mutex<Vec<ReaderCache>>,
     /// Logical LRU stamp: the hub's touch clock at this tenant's last
     /// apply/audit/snapshot. Drives eviction order — no wall clock.
@@ -300,13 +283,12 @@ impl Tenant {
     }
 
     /// Fetch or build the shared audit session for `key`; `build` runs
-    /// outside the lock (it may refresh or estimate a prior model). For a
-    /// hub-built `Adv(b')` key, the retained session of an *older* version
-    /// at the same bandwidth — the chain base — leaves the cache and is
-    /// handed to `build`, which carries it over to the new version.
+    /// outside the lock (it may refresh or estimate a prior model). The
+    /// entry's chain base ([`AuditKey::chains_into`]) leaves the cache and
+    /// is handed to `build`, which carries it over to the new version.
     fn reader_session(
         &self,
-        key: ReaderKey,
+        key: AuditKey,
         build: impl FnOnce(Option<Arc<SharedAuditSession>>) -> SharedAuditSession,
     ) -> Arc<SharedAuditSession> {
         let base = {
@@ -318,15 +300,10 @@ impl Tenant {
                 readers.push(entry);
                 return session;
             }
-            match key {
-                ReaderKey::Bandwidth(bits, version) => readers
-                    .iter()
-                    .position(
-                        |c| matches!(c.key, ReaderKey::Bandwidth(b, v) if b == bits && v < version),
-                    )
-                    .map(|idx| readers.remove(idx).session),
-                ReaderKey::External(..) => None,
-            }
+            readers
+                .iter()
+                .position(|c| c.key.chains_into(key))
+                .map(|idx| readers.remove(idx).session)
         };
         let session = Arc::new(build(base));
         let mut readers = relock(self.readers.lock());
@@ -334,17 +311,14 @@ impl Tenant {
         if let Some(entry) = readers.iter().find(|c| c.key == key) {
             return Arc::clone(&entry.session);
         }
-        if let ReaderKey::Bandwidth(bits, version) = key {
-            // One session per bandwidth, and the newest version wins: a
-            // reader still auditing a superseded snapshot is served
-            // uncached rather than displacing the newer chain.
-            let newer = |c: &ReaderCache| matches!(c.key, ReaderKey::Bandwidth(b, v) if b == bits && v > version);
-            if readers.iter().any(newer) {
-                return session;
-            }
-            readers.retain(|c| !matches!(c.key, ReaderKey::Bandwidth(b, _) if b == bits));
+        // One session per bandwidth, and the newest version wins: a reader
+        // still auditing a superseded snapshot is served uncached rather
+        // than displacing the newer chain.
+        if readers.iter().any(|c| key.chains_into(c.key)) {
+            return session;
         }
-        if readers.len() >= READER_CACHE_CAP {
+        readers.retain(|c| !c.key.chains_into(key));
+        if readers.len() >= PublishSession::MAX_AUDIT_CACHES {
             readers.remove(0);
         }
         readers.push(ReaderCache {
@@ -555,10 +529,6 @@ pub struct SessionHub {
 impl SessionHub {
     /// Default number of registry shards.
     pub const DEFAULT_SHARDS: usize = DEFAULT_SHARD_COUNT;
-
-    /// Reader-audit configurations retained per tenant; beyond this the
-    /// least recently used shared session (and its caches) is dropped.
-    pub const MAX_READER_CACHES: usize = READER_CACHE_CAP;
 
     /// An empty hub with [`DEFAULT_SHARDS`](Self::DEFAULT_SHARDS) registry
     /// shards.
@@ -958,7 +928,7 @@ impl SessionHub {
         let superseded = snapshot.version();
         let bases: Vec<Arc<SharedAuditSession>> = relock(entry.readers.lock())
             .iter()
-            .filter(|c| matches!(c.key, ReaderKey::Bandwidth(_, v) if v < superseded))
+            .filter(|c| matches!(c.key, AuditKey::Bandwidth(_, v) if v < superseded))
             .map(|c| Arc::clone(&c.session))
             .collect();
         for base in bases {
@@ -982,12 +952,9 @@ impl SessionHub {
     ) -> Result<AuditReport, SessionError> {
         let entry = self.tenant(tenant)?;
         let snapshot = self.resident_snapshot(&entry)?;
-        let key = ReaderKey::External(
-            Arc::as_ptr(auditor.adversary()) as usize,
-            Arc::as_ptr(auditor.measure()) as *const () as usize,
-            auditor.exact_below(),
-        );
-        let shared = entry.reader_session(key, |_| SharedAuditSession::new(auditor.clone()));
+        let shared = entry.reader_session(AuditKey::external(auditor), |_| {
+            SharedAuditSession::new(auditor.clone())
+        });
         let report = snapshot.audit_cached(&shared, t);
         self.recount_readers(&entry);
         self.maybe_evict(Some(&entry.name));
@@ -1010,6 +977,9 @@ impl SessionHub {
     /// audit at the same `b'`) share one `Arc`-ed model — a 10k-tenant
     /// fleet with common background knowledge pays for one estimation, not
     /// 10k.
+    ///
+    /// A `b'` that is not positive and finite is rejected with
+    /// [`PublishError::InvalidSpec`]; the tenant is untouched.
     pub fn audit_against(
         &self,
         tenant: &str,
@@ -1018,9 +988,12 @@ impl SessionHub {
     ) -> Result<AuditReport, SessionError> {
         let entry = self.tenant(tenant)?;
         let snapshot = self.resident_snapshot(&entry)?;
-        let key = ReaderKey::Bandwidth(b_prime.to_bits(), snapshot.version());
-        let bandwidth =
-            Bandwidth::uniform(b_prime, snapshot.table().qi_count()).expect("positive bandwidth");
+        let key = AuditKey::Bandwidth(b_prime.to_bits(), snapshot.version());
+        let bandwidth = Bandwidth::uniform(b_prime, snapshot.table().qi_count()).map_err(|e| {
+            PublishError::InvalidSpec {
+                reason: format!("adversary bandwidth b' = {b_prime}: {e}"),
+            }
+        })?;
         let shared = entry.reader_session(key, |base| {
             self.adversary_session(snapshot.table(), bandwidth, base)
         });
@@ -1300,12 +1273,10 @@ impl SessionHub {
     /// version — when there is one.
     ///
     /// The table is folded and the cross-tenant intern table consulted
-    /// first, so fleet sharing works as before. On an intern miss the
-    /// base's model is refreshed to the new fold
-    /// ([`PriorEstimator::refresh_to`]) — in place via [`Arc::make_mut`],
-    /// which clones only while another tenant or an in-flight reader still
-    /// shares it — and the model is estimated from scratch only without a
-    /// base. With a base the session is its
+    /// first, so fleet sharing works as before. On an intern miss the model
+    /// comes from [`chain_prior`] — the base's model refreshed to the new
+    /// fold, or estimated from scratch without a base — and is interned.
+    /// With a base the session is its
     /// [`successor`](SharedAuditSession::successor), keeping every memo
     /// entry whose priors survived. Fold, refresh and estimation run
     /// outside every lock; the intern lock is held only for the lookup and
@@ -1329,12 +1300,18 @@ impl SessionHub {
             }
             found
         };
-        let estimator = || PriorEstimator::new(Arc::clone(table.schema()), bandwidth.clone());
+        let build = |previous| {
+            let model = chain_prior(
+                table.schema(),
+                &bandwidth,
+                fold,
+                previous,
+                Parallelism::Auto,
+            );
+            self.intern_model(key, model, &bandwidth, family)
+        };
         let Some(base) = base else {
-            let adversary = found.unwrap_or_else(|| {
-                let model = estimator().estimate_folded(fold, Parallelism::Auto);
-                self.intern_model(key, Arc::new(model), &bandwidth, family)
-            });
+            let adversary = found.unwrap_or_else(|| build(None));
             let measure = Arc::new(SmoothedJs::paper_default(
                 table.schema().sensitive_distance(),
             ));
@@ -1345,16 +1322,9 @@ impl SessionHub {
             let adversary = found.unwrap_or_else(|| {
                 let previous = retired.adversary().prior_model().cloned();
                 // Release the retired adversary's hold on the model, so the
-                // refresh below mutates it in place when nothing else does.
+                // refresh mutates it in place when nothing else does.
                 drop(retired);
-                let model = match previous {
-                    Some(mut model) if model.is_refreshable() => {
-                        estimator().refresh_to(Arc::make_mut(&mut model), fold, Parallelism::Auto);
-                        model
-                    }
-                    _ => Arc::new(estimator().estimate_folded(fold, Parallelism::Auto)),
-                };
-                self.intern_model(key, model, &bandwidth, family)
+                build(previous)
             });
             Auditor::new(adversary, measure)
         })
@@ -1370,11 +1340,7 @@ impl SessionHub {
         bandwidth: &Bandwidth,
         family: KernelFamily,
     ) -> Arc<Adversary> {
-        let adversary = Arc::new(Adversary::from_model(
-            &format!("Adv({bandwidth})"),
-            bandwidth.clone(),
-            model,
-        ));
+        let adversary = adversary_b_prime(bandwidth, model);
         let mut interned = relock(self.interned.lock());
         if let Some(won) = adversary
             .prior_model()
@@ -1600,6 +1566,23 @@ mod tests {
     }
 
     #[test]
+    fn invalid_b_prime_is_an_error_and_the_tenant_keeps_serving() {
+        let hub = hub_with(&[("a", 12)], 150, 4);
+        for b_prime in [0.0, -1.0, f64::NAN] {
+            let err = hub.audit_against("a", b_prime, 0.2).unwrap_err();
+            assert!(
+                matches!(err, SessionError::Publish(PublishError::InvalidSpec { .. })),
+                "b'={b_prime}: {err}"
+            );
+        }
+        let report = hub.audit_against("a", 0.3, 0.2).unwrap();
+        assert!(report.worst_case >= report.mean);
+        let d = delta_for(hub.snapshot("a").unwrap().table(), &[4], 1, 3);
+        assert_eq!(hub.apply("a", &d).unwrap().version(), 1);
+        hub.audit_against("a", 0.3, 0.2).unwrap();
+    }
+
+    #[test]
     fn snapshot_estimate_prior_matches_direct_estimation() {
         let hub = hub_with(&[("a", 3)], 150, 4);
         let snap = hub.snapshot("a").unwrap();
@@ -1624,9 +1607,9 @@ mod tests {
                 .unwrap();
         }
         // Writers and readers run as shared-pool jobs (R2: no per-call
-        // scopes). The jobs must stay pool leaves: `apply` here never
-        // reaches a parallel engine (no tracked priors on these sessions),
-        // and snapshot reads are pure — neither submits pool work.
+        // scopes). The jobs must stay pool leaves: `apply` never reaches a
+        // parallel engine (priors are only refreshed by audits), and
+        // snapshot reads are pure — neither submits pool work.
         let mut jobs: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
         // One writer per tenant, three deltas each.
         for (name, seed) in tenants.clone() {
@@ -1736,11 +1719,11 @@ mod tests {
         hub.audit_against("a", 0.5, 0.2).unwrap();
         let entry = hub.tenant("a").unwrap();
         let keys =
-            || -> Vec<ReaderKey> { relock(entry.readers.lock()).iter().map(|c| c.key).collect() };
+            || -> Vec<AuditKey> { relock(entry.readers.lock()).iter().map(|c| c.key).collect() };
         let (b3, b5) = (0.3f64.to_bits(), 0.5f64.to_bits());
         assert_eq!(
             keys(),
-            [ReaderKey::Bandwidth(b3, 0), ReaderKey::Bandwidth(b5, 0)]
+            [AuditKey::Bandwidth(b3, 0), AuditKey::Bandwidth(b5, 0)]
         );
         // Applies keep the version-0 sessions as chain bases — still one
         // per bandwidth, still charged to the tenant's reader bytes — no
@@ -1750,7 +1733,7 @@ mod tests {
             hub.apply("a", &d).unwrap();
             assert_eq!(
                 keys(),
-                [ReaderKey::Bandwidth(b3, 0), ReaderKey::Bandwidth(b5, 0)]
+                [AuditKey::Bandwidth(b3, 0), AuditKey::Bandwidth(b5, 0)]
             );
             assert!(entry.reader_bytes.load(Ordering::Relaxed) > 0);
         }
@@ -1758,7 +1741,7 @@ mod tests {
         hub.audit_against("a", 0.3, 0.2).unwrap();
         assert_eq!(
             keys(),
-            [ReaderKey::Bandwidth(b5, 0), ReaderKey::Bandwidth(b3, 2)]
+            [AuditKey::Bandwidth(b5, 0), AuditKey::Bandwidth(b3, 2)]
         );
     }
 

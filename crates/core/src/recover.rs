@@ -14,12 +14,13 @@
 //!   fsync) every [`checkpoint_every`](crate::wal::DurabilityOptions::checkpoint_every)
 //!   applied deltas: the version-`K` table, a `strategy <name>` tag, the
 //!   strategy's exported state block (the line codecs in `strategy.rs`),
-//!   and every session-built tracked adversary model (serialized with the
-//!   versioned `bgkanon-knowledge::persist` format — `save_model`/
-//!   `load_model` generalized from "the whole file" to "a block inside a
-//!   larger checkpoint"). Untagged v1/v2 checkpoints predate the strategy
-//!   layer; their tree block is byte-identical to the Mondrian strategy's
-//!   state encoding, so they still load — as Mondrian sessions.
+//!   and a `priors 0` line. Adversary models are not persisted — a resumed
+//!   session estimates each `Adv(b′)` afresh on its first audit,
+//!   bit-identically — but files that embed `prior-model` blocks (the
+//!   versioned `bgkanon-knowledge::persist` format) still load: each block
+//!   is validated, then dropped. Untagged v1/v2 checkpoints predate the
+//!   strategy layer; their tree block is byte-identical to the Mondrian
+//!   strategy's state encoding, so they still load — as Mondrian sessions.
 //! * `wal.log` — the append-only delta log ([`crate::wal`]).
 //!
 //! Both text files end with a `checksum <fnv1a64>` line over everything
@@ -44,7 +45,7 @@ use bgkanon_data::hierarchy::HierarchyBuilder;
 use bgkanon_data::{
     Attribute, AttributeKind, DistanceMatrix, Hierarchy, Parallelism, Schema, Table, TableBuilder,
 };
-use bgkanon_knowledge::{load_model_str, save_model_string, PriorModel};
+use bgkanon_knowledge::load_model_str;
 
 use crate::publisher::{Algorithm, Publisher};
 use crate::session::PublishSession;
@@ -579,8 +580,7 @@ fn parse_genesis(text: &str) -> Result<Genesis, String> {
 
 /// Serialize and atomically write a tenant checkpoint at `version`: the
 /// current table, the session strategy's tag and exported state block, and
-/// every tracked adversary model (via the knowledge crate's versioned
-/// persist format).
+/// an empty `priors` block (adversary models are rebuilt on demand).
 pub(crate) fn write_checkpoint(
     dir: &Path,
     version: u64,
@@ -597,16 +597,7 @@ pub(crate) fn write_checkpoint(
         out.push_str(line);
         out.push('\n');
     }
-    let priors = session.tracked_priors();
-    let _ = writeln!(out, "priors {}", priors.len());
-    for (b_prime, model) in &priors {
-        let block = save_model_string(model);
-        let _ = writeln!(out, "prior-model {b_prime:.17e} {}", block.lines().count());
-        out.push_str(&block);
-        if !block.ends_with('\n') {
-            out.push('\n');
-        }
-    }
+    out.push_str("priors 0\n");
     push_trailer(&mut out);
     write_atomic(dir, "checkpoint.tbl", &out)
 }
@@ -623,7 +614,6 @@ struct Checkpoint {
     /// its `tree <n>` head line), which is byte-identical to the Mondrian
     /// strategy's encoding.
     state_lines: Vec<String>,
-    priors: Vec<(f64, PriorModel)>,
 }
 
 fn parse_checkpoint(text: &str, schema: &Arc<Schema>) -> Result<Checkpoint, String> {
@@ -662,28 +652,26 @@ fn parse_checkpoint(text: &str, schema: &Arc<Schema>) -> Result<Checkpoint, Stri
             state_lines.push(cur.next("a tnode line")?.to_owned());
         }
     }
+    // Files written before adversary models stopped being persisted may
+    // embed `prior-model` blocks: each must still parse, then is dropped.
     let head = cur.record("priors")?;
     let n_priors: usize = parse_num(head.get(1).copied(), "prior count")?;
-    let mut priors = Vec::with_capacity(n_priors);
     for _ in 0..n_priors {
         let toks = cur.record("prior-model")?;
-        let b_prime: f64 = parse_num(toks.get(1).copied(), "prior bandwidth")?;
+        let _: f64 = parse_num(toks.get(1).copied(), "prior bandwidth")?;
         let n_lines: usize = parse_num(toks.get(2).copied(), "prior line count")?;
         let mut block = String::new();
         for _ in 0..n_lines {
             block.push_str(cur.next("a prior-model line")?);
             block.push('\n');
         }
-        let model =
-            load_model_str(&block).map_err(|e| format!("checkpoint: embedded prior: {e}"))?;
-        priors.push((b_prime, model));
+        load_model_str(&block).map_err(|e| format!("checkpoint: embedded prior: {e}"))?;
     }
     Ok(Checkpoint {
         version,
         strategy,
         table,
         state_lines,
-        priors,
     })
 }
 
@@ -774,18 +762,13 @@ pub(crate) fn recover_tenant_dir(
             }
             let planted = strategy::import_state(strategy, &ck.table, &ck.state_lines)
                 .map_err(|e| format!("checkpoint: {e}"))?;
-            let mut session = PublishSession::resume(
+            let session = PublishSession::resume(
                 ck.table,
                 requirement,
                 Parallelism::Auto,
                 planted,
                 ck.version as usize,
             );
-            for (b_prime, model) in ck.priors {
-                if !session.restore_tracked_prior(b_prime, model) {
-                    return Err("checkpoint: persisted prior model is not refreshable".into());
-                }
-            }
             (session, ck.version, Some(ck.version))
         }
         None => {
@@ -990,8 +973,24 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `text` with a `prior-model` block for `Adv(b_prime)` spliced into
+    /// its empty `priors` block and a fresh checksum trailer — the shape
+    /// of a checkpoint written while session models were still persisted.
+    fn with_prior_block(text: &str, b_prime: f64, block: &str) -> String {
+        let body = check_trailer(text, "checkpoint").unwrap();
+        let spliced = format!(
+            "priors 1\nprior-model {b_prime:.17e} {}\n{block}",
+            block.lines().count()
+        );
+        assert_eq!(body.matches("priors 0\n").count(), 1);
+        let mut out = body.replace("priors 0\n", &spliced);
+        push_trailer(&mut out);
+        out
+    }
+
     #[test]
     fn checkpoint_roundtrip_resumes_bit_identically() {
+        use bgkanon_knowledge::{save_model_string, Bandwidth, PriorEstimator};
         let dir = tmp_dir("ckpt");
         let table = adult::generate(120, 7);
         let publisher = Publisher::new().k_anonymity(4);
@@ -1003,20 +1002,24 @@ mod tests {
             .unwrap();
         session.apply(&b.build()).unwrap();
         write_checkpoint(&dir, 1, &session).unwrap();
-
         let text = std::fs::read_to_string(dir.join("checkpoint.tbl")).unwrap();
-        let ck = parse_checkpoint(&text, table.schema()).unwrap();
+        assert!(text.contains("\npriors 0\n"), "models are never persisted");
+
+        // A checkpoint that still embeds a prior model opens, and the block
+        // is validated and dropped.
+        let bandwidth = Bandwidth::uniform(0.3, table.qi_count()).unwrap();
+        let model =
+            PriorEstimator::new(Arc::clone(table.schema()), bandwidth).estimate(session.table());
+        let block = save_model_string(&model);
+        let ck = parse_checkpoint(&with_prior_block(&text, 0.3, &block), table.schema()).unwrap();
         assert_eq!(ck.version, 1);
         assert_eq!(ck.strategy.as_deref(), Some("mondrian"));
-        assert_eq!(ck.priors.len(), 1);
         let requirement = publisher.instantiate(&table).unwrap();
         let strategy = publisher.strategy(&requirement).unwrap();
         let planted = strategy::import_state(strategy, &ck.table, &ck.state_lines).unwrap();
         let mut resumed =
             PublishSession::resume(ck.table, requirement, Parallelism::Auto, planted, 1);
-        for (bp, model) in ck.priors {
-            assert!(resumed.restore_tracked_prior(bp, model));
-        }
+        assert_eq!(resumed.audit_cache_count(), 0);
         // Publication bit-identical…
         for (x, y) in session
             .anonymized()
@@ -1028,7 +1031,8 @@ mod tests {
             assert_eq!(x.ranges, y.ranges);
             assert_eq!(x.sensitive_counts, y.sensitive_counts);
         }
-        // …and the restored tracked prior audits and refreshes identically.
+        // …and the resumed session audits identically after a further
+        // delta: its Adv(b') is estimated afresh, the live one is chained.
         let mut b = DeltaBuilder::new(Arc::clone(table.schema()));
         b.delete(10);
         let delta = b.build();
@@ -1041,6 +1045,14 @@ mod tests {
         for (x, y) in ra.risks.iter().zip(&rb.risks) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+
+        // A corrupted embedded block is still rejected.
+        let corrupted = block.replacen("\nprior ", "\nprior x", 1);
+        assert_ne!(corrupted, block);
+        let err = parse_checkpoint(&with_prior_block(&text, 0.3, &corrupted), table.schema())
+            .err()
+            .expect("a corrupted prior-model block is an error");
+        assert!(err.contains("embedded prior"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -15,14 +15,20 @@
 //!   invalidated by leaf stamp — an audit after a delta recomputes Ω only
 //!   for the groups the delta touched;
 //! * session-built adversary models
-//!   ([`audit_against`](PublishSession::audit_against)) that **track the
-//!   evolving table**: each applied delta refreshes their kernel-estimated
-//!   priors in place ([`PriorEstimator::refresh_with`]), recomputing only
-//!   the compact-support neighborhood the delta dirtied — the adversary is
-//!   never silently frozen at the table the session opened on. Externally
-//!   supplied auditors ([`audit_with`](PublishSession::audit_with)) embody
-//!   the caller's chosen prior model and are left untouched (the paper's
-//!   Fig. 1 "reuse the prior across releases" accounting).
+//!   ([`audit_against`](PublishSession::audit_against)) that **follow the
+//!   evolving table** through the `Adv(b′)` version chain the
+//!   [`SessionHub`](crate::SessionHub) runs too: each `b′` keeps one audit
+//!   cache, tagged with the version it was built for, and the first audit
+//!   of a newer version refreshes that entry's model to the current table
+//!   ([`PriorEstimator::refresh_to`] — only the kernel neighborhood of QI
+//!   points whose fold changed is recomputed, however many applies went by
+//!   unaudited) and carries its memo over ([`AuditSession::successor`]).
+//!   The adversary is never silently frozen at the table the session
+//!   opened on, and an apply that is never audited pays nothing for it.
+//!   Externally supplied auditors
+//!   ([`audit_with`](PublishSession::audit_with)) embody the caller's
+//!   chosen prior model and are left untouched (the paper's Fig. 1 "reuse
+//!   the prior across releases" accounting).
 //!
 //! The correctness bar, enforced by `tests/tests/incremental.rs`: after
 //! **any** sequence of deltas, [`PublishSession::snapshot`] is bit-identical
@@ -35,8 +41,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bgkanon_anon::{AnonymizedTable, Planted};
-use bgkanon_data::{Delta, Parallelism, Table};
-use bgkanon_knowledge::{Adversary, Bandwidth, PriorEstimator, PriorModel};
+use bgkanon_data::{Delta, Parallelism, Schema, Table};
+use bgkanon_knowledge::{Adversary, Bandwidth, FoldedTable, PriorEstimator, PriorModel};
 use bgkanon_privacy::{AuditReport, AuditSession, Auditor, PrivacyRequirement};
 use bgkanon_stats::SmoothedJs;
 
@@ -111,40 +117,88 @@ impl From<PublishError> for SessionError {
     }
 }
 
-/// Key identifying one audit configuration inside a session. Prior
-/// identities (and therefore every cached risk) are tied to a concrete
-/// adversary model instance, so the cache is keyed by the instances in
-/// play, not by their parameters.
+/// Key of one retained audit configuration — of a session's audit caches
+/// and of a hub tenant's reader caches alike. Prior identities (and
+/// therefore every cached risk) are tied to a concrete adversary model
+/// instance, so the cache is keyed by the instances in play, not by their
+/// parameters.
 /// (Addresses are stored as `usize`, not raw pointers: the key is only ever
 /// compared, and a raw-pointer field would make the whole session `!Send` —
 /// it has to live behind a hub tenant's mutex.)
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum AuditKey {
-    /// An externally supplied auditor: adversary + measure instance
-    /// addresses plus the exact-inference cutoff.
+#[derive(Debug, PartialEq, Eq, Clone, Copy)]
+pub(crate) enum AuditKey {
+    /// Externally supplied auditor: adversary + measure instance addresses
+    /// plus the exact-inference cutoff. Valid across versions — the
+    /// caller's model is frozen by definition, so stamp hits replay across
+    /// deltas (the Fig. 1 "reuse the prior across releases" accounting).
     External(usize, usize, usize),
-    /// A session-built `Adv(b')` auditor, keyed by the bandwidth bits.
-    Bandwidth(u64),
+    /// Self-built `Adv(b')`, keyed by bandwidth bits **and the version it
+    /// was built for**: the adversary the current table implies changes
+    /// with the table, so an audit of a newer version never replays this
+    /// entry's stamps. At most one entry per bandwidth is kept: after an
+    /// apply, the entry of the superseded version stays as the **chain
+    /// base** that the next audited version's entry is refreshed from.
+    Bandwidth(u64, u64),
 }
 
-/// A session-owned adversary whose prior model **tracks** the evolving
-/// table: every [`PublishSession::apply`] routes the delta through
-/// [`PriorEstimator::refresh_with`], recomputing only the kernel
-/// neighborhood the delta dirtied.
-struct TrackedPrior {
-    bandwidth: Bandwidth,
-    estimator: PriorEstimator,
-    model: Arc<PriorModel>,
+impl AuditKey {
+    /// The key of an externally supplied auditor.
+    pub(crate) fn external(auditor: &Auditor) -> Self {
+        AuditKey::External(
+            Arc::as_ptr(auditor.adversary()) as usize,
+            Arc::as_ptr(auditor.measure()) as *const () as usize,
+            auditor.exact_below(),
+        )
+    }
+
+    /// True when an entry under `self` is a chain base for `next`: the
+    /// same bandwidth, built for an earlier version.
+    pub(crate) fn chains_into(self, next: AuditKey) -> bool {
+        matches!(
+            (self, next),
+            (AuditKey::Bandwidth(b, v), AuditKey::Bandwidth(nb, nv)) if b == nb && v < nv
+        )
+    }
 }
 
-/// One retained audit configuration: its risk caches, plus the tracked
-/// prior state when the adversary is session-built (the
-/// [`audit_against`](PublishSession::audit_against) path — external
-/// auditors embody the *caller's* frozen model and are never refreshed).
+/// `Adv(b')`'s prior model for the table `fold` was taken from — the one
+/// refresh-or-estimate step of the `Adv(b′)` version chain, shared by
+/// [`PublishSession::audit_against`] and the hub's `audit_against`.
+/// `previous` (the same bandwidth's model for an earlier version) is
+/// refreshed to `fold` ([`PriorEstimator::refresh_to`]) — in place via
+/// [`Arc::make_mut`], which clones only while another holder still shares
+/// it; without a refreshable `previous` the model is estimated from
+/// scratch. Bit-identical either way.
+pub(crate) fn chain_prior(
+    schema: &Arc<Schema>,
+    bandwidth: &Bandwidth,
+    fold: FoldedTable,
+    previous: Option<Arc<PriorModel>>,
+    parallelism: Parallelism,
+) -> Arc<PriorModel> {
+    let estimator = PriorEstimator::new(Arc::clone(schema), bandwidth.clone());
+    match previous {
+        Some(mut model) if model.is_refreshable() => {
+            estimator.refresh_to(Arc::make_mut(&mut model), fold, parallelism);
+            model
+        }
+        _ => Arc::new(estimator.estimate_folded(fold, parallelism)),
+    }
+}
+
+/// The `Adv(b')` adversary over `model`.
+pub(crate) fn adversary_b_prime(bandwidth: &Bandwidth, model: Arc<PriorModel>) -> Arc<Adversary> {
+    Arc::new(Adversary::from_model(
+        &format!("Adv({bandwidth})"),
+        bandwidth.clone(),
+        model,
+    ))
+}
+
+/// One retained audit configuration and its risk caches.
 struct AuditCache {
     key: AuditKey,
     session: AuditSession,
-    tracked: Option<TrackedPrior>,
 }
 
 /// A retained publish → audit pipeline over an evolving table.
@@ -228,8 +282,8 @@ impl PublishSession {
     /// the one the checkpoint captured; [`Planted::warm`] only rebuilds
     /// derived refresh caches.
     ///
-    /// Audit caches start empty; tracked priors are restored separately via
-    /// [`restore_tracked_prior`](Self::restore_tracked_prior).
+    /// Audit caches start empty: the first `audit_against` of each `b′`
+    /// estimates its model afresh, bit-identically.
     pub(crate) fn resume(
         table: Table,
         requirement: Arc<dyn PrivacyRequirement>,
@@ -251,64 +305,6 @@ impl PublishSession {
             last_elapsed: Duration::ZERO,
             deltas_applied,
         }
-    }
-
-    /// The session-built tracked adversary models, as `(b', model)` pairs —
-    /// what a checkpoint persists so recovered sessions audit identically.
-    pub(crate) fn tracked_priors(&self) -> Vec<(f64, Arc<PriorModel>)> {
-        self.audits
-            .iter()
-            .filter_map(|cache| match (&cache.key, &cache.tracked) {
-                (AuditKey::Bandwidth(bits), Some(tracked)) => {
-                    Some((f64::from_bits(*bits), Arc::clone(&tracked.model)))
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Reinstall a persisted tracked adversary model for `Adv(b')`,
-    /// mirroring [`audit_against`](Self::audit_against)'s construction
-    /// exactly (estimator rebuilt from the model's own provenance, fresh
-    /// risk caches) so subsequent applies refresh it and audits replay it
-    /// bit-identically to a never-persisted session. Returns `false` —
-    /// installing nothing — when the model carries no refresh provenance or
-    /// its bandwidth is unusable; recovery treats that as corruption.
-    pub(crate) fn restore_tracked_prior(&mut self, b_prime: f64, model: PriorModel) -> bool {
-        let Some(bandwidth) = model.bandwidth().cloned() else {
-            return false;
-        };
-        if self
-            .audits
-            .iter()
-            .any(|c| c.key == AuditKey::Bandwidth(b_prime.to_bits()))
-        {
-            return false;
-        }
-        let estimator = PriorEstimator::with_family(
-            Arc::clone(self.table.schema()),
-            bandwidth.clone(),
-            model.family(),
-        );
-        let model = Arc::new(model);
-        let adversary = Arc::new(Adversary::from_model(
-            &format!("Adv({bandwidth})"),
-            bandwidth.clone(),
-            Arc::clone(&model),
-        ));
-        let measure = Arc::new(SmoothedJs::paper_default(
-            self.table.schema().sensitive_distance(),
-        ));
-        self.insert_audit_cache(
-            AuditKey::Bandwidth(b_prime.to_bits()),
-            AuditSession::new(Auditor::new(adversary, measure)),
-            Some(TrackedPrior {
-                bandwidth,
-                estimator,
-                model,
-            }),
-        );
-        true
     }
 
     /// Apply one delta: evolve the table, route the changes through the
@@ -334,34 +330,28 @@ impl PublishSession {
                                       // The strategy refresh is the last fallible step; its contract
                                       // leaves the state untouched on error, so a rejected delta
                                       // (e.g. bucketization losing ℓ-eligibility) leaves the whole
-                                      // session unchanged — including the tracked priors below.
+                                      // session unchanged.
         self.planted
             .refresh(&self.table, &next, delta.deletes())
             .map_err(PublishError::from)?;
         self.last_elapsed = started.elapsed();
         let t2 = Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
-                                 // Session-built adversary models track the evolving table: refresh
-                                 // each one's dirty kernel neighborhood against the pre-delta table
-                                 // it currently reflects (external auditors stay caller-frozen).
-        self.refresh_tracked_priors(delta);
-        let t3 = Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
         let (anonymized, stamps) = self.planted.snapshot(&next);
-        let t4 = Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
+        let t3 = Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
         self.table = next;
         self.anonymized = anonymized;
         self.stamps = stamps;
         self.deltas_applied += 1;
         let out = Ok(self.snapshot());
-        let t5 = Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
+        let t4 = Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
         if std::env::var("BGK_PROFILE").is_ok() {
             eprintln!(
-                "apply: delta={:?} check={:?} refresh={:?} priors={:?} snapshot={:?} clone={:?}",
+                "apply: delta={:?} check={:?} refresh={:?} snapshot={:?} clone={:?}",
                 t1 - t0,
                 t1b - t1,
                 t2 - t1b,
                 t3 - t2,
-                t4 - t3,
-                t5 - t4
+                t4 - t3
             );
         }
         out
@@ -446,59 +436,56 @@ impl PublishSession {
     /// retains at most [`MAX_AUDIT_CACHES`](Self::MAX_AUDIT_CACHES)
     /// configurations, evicting the least recently used.
     pub fn audit_with(&mut self, auditor: &Auditor, t: f64) -> AuditReport {
-        let key = AuditKey::External(
-            Arc::as_ptr(auditor.adversary()) as usize,
-            Arc::as_ptr(auditor.measure()) as *const () as usize,
-            auditor.exact_below(),
-        );
-        if !self.audits.iter().any(|c| c.key == key) {
-            self.insert_audit_cache(key, AuditSession::new(auditor.clone()), None);
-        }
-        self.audit_keyed(key, t)
+        self.audit_keyed(AuditKey::external(auditor), t, |_, _| {
+            AuditSession::new(auditor.clone())
+        })
     }
 
     /// Audit against the adversary `Adv(b')` with threshold `t`, using the
     /// paper's smoothed-JS distance — the session counterpart of
     /// [`PublishOutcome::audit_against`]. The adversary's prior model is
-    /// estimated from the session table at the **first** call for each `b'`
-    /// and from then on **tracks the evolving table**: every
-    /// [`apply`](Self::apply) refreshes it in place
-    /// ([`PriorEstimator::refresh_with`]), recomputing only the kernel
-    /// neighborhood the delta dirtied — so a delta audit always measures
-    /// the adversary the *current* table implies, bit-identical to opening
-    /// a fresh session on that table, at a fraction of the re-estimation
-    /// cost.
+    /// that of **the current table**, cached per `(b', version)`: audits
+    /// between applies replay it, and the first audit after any number of
+    /// applies refreshes the previous entry's model to the current table
+    /// and carries its audit memo over (the `Adv(b′)` version chain, the
+    /// same one [`SessionHub::audit_against`](crate::SessionHub::audit_against)
+    /// runs) — bit-identical to opening a fresh session on the current
+    /// table, at a fraction of the re-estimation cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `b_prime` is not a positive, finite bandwidth.
     pub fn audit_against(&mut self, b_prime: f64, t: f64) -> AuditReport {
-        let key = AuditKey::Bandwidth(b_prime.to_bits());
-        if !self.audits.iter().any(|c| c.key == key) {
+        let key = AuditKey::Bandwidth(b_prime.to_bits(), self.deltas_applied as u64);
+        self.audit_keyed(key, t, |session, base| {
             let bandwidth =
-                Bandwidth::uniform(b_prime, self.table.qi_count()).expect("positive bandwidth");
-            let estimator = PriorEstimator::new(Arc::clone(self.table.schema()), bandwidth.clone());
-            let model = Arc::new(estimator.estimate_with(&self.table, self.parallelism));
-            let adversary = Arc::new(Adversary::from_model(
-                &format!("Adv({bandwidth})"),
-                bandwidth.clone(),
-                Arc::clone(&model),
-            ));
-            let measure = Arc::new(SmoothedJs::paper_default(
-                self.table.schema().sensitive_distance(),
-            ));
-            self.insert_audit_cache(
-                key,
-                AuditSession::new(Auditor::new(adversary, measure)),
-                Some(TrackedPrior {
-                    bandwidth,
-                    estimator,
-                    model,
-                }),
-            );
-        }
-        self.audit_keyed(key, t)
+                Bandwidth::uniform(b_prime, session.table.qi_count()).expect("positive bandwidth");
+            let (schema, parallelism) = (session.table.schema(), session.parallelism);
+            let fold = FoldedTable::new(&session.table);
+            let Some(base) = base else {
+                let model = chain_prior(schema, &bandwidth, fold, None, parallelism);
+                let measure = Arc::new(SmoothedJs::paper_default(schema.sensitive_distance()));
+                return AuditSession::new(Auditor::new(
+                    adversary_b_prime(&bandwidth, model),
+                    measure,
+                ));
+            };
+            base.successor(|retired| {
+                let measure = Arc::clone(retired.measure());
+                let previous = retired.adversary().prior_model().cloned();
+                // Release the retired adversary's hold on the model, so the
+                // refresh mutates it in place.
+                drop(retired);
+                let model = chain_prior(schema, &bandwidth, fold, previous, parallelism);
+                Auditor::new(adversary_b_prime(&bandwidth, model), measure)
+            })
+        })
     }
 
-    /// Most audit configurations retained at once; beyond this the least
-    /// recently used cache (and its memos) is dropped, bounding memory for
-    /// callers that construct a fresh auditor per call.
+    /// Most audit configurations retained at once — by a session, and by
+    /// each hub tenant's reader caches; beyond this the least recently used
+    /// cache (and its memos) is dropped, bounding memory for callers that
+    /// construct a fresh auditor per call.
     pub const MAX_AUDIT_CACHES: usize = 8;
 
     /// Number of distinct audit configurations this session caches.
@@ -509,20 +496,20 @@ impl PublishSession {
     /// Heap bytes this session holds resident: the working table, the
     /// strategy state, the current publication, group stamps, and every
     /// retained audit configuration (risk caches plus, for session-built
-    /// `Adv(b')` adversaries, the tracked estimator and prior model — they
-    /// are owned here, so they are charged here). The serving hub rolls
-    /// this into per-tenant gauges; shared `Arc` payloads are charged to
-    /// every holder, making it a deterministic RSS proxy rather than an
-    /// allocator-exact figure.
+    /// `Adv(b')` adversaries, the prior model — it is owned here, so it is
+    /// charged here). The serving hub rolls this into per-tenant gauges;
+    /// shared `Arc` payloads are charged to every holder, making it a
+    /// deterministic RSS proxy rather than an allocator-exact figure.
     pub fn bytes_accounted(&self) -> usize {
         let audits: usize = self
             .audits
             .iter()
             .map(|c| {
-                c.session.bytes_accounted()
-                    + c.tracked.as_ref().map_or(0, |t| {
-                        t.estimator.bytes_accounted() + t.model.bytes_accounted() + 64
-                    })
+                let model = match c.key {
+                    AuditKey::Bandwidth(..) => c.session.auditor().adversary().prior_model(),
+                    AuditKey::External(..) => None,
+                };
+                c.session.bytes_accounted() + model.map_or(0, |m| m.bytes_accounted() + 64)
             })
             .sum();
         self.table.bytes_accounted()
@@ -532,105 +519,56 @@ impl PublishSession {
             + audits
     }
 
-    /// Drop every retained audit configuration — risk caches, tracked
-    /// priors and all. The demotion hook behind the serving hub's memory
-    /// budget: every cache is rebuild-on-miss (tracked priors re-estimate
-    /// from the current table), so subsequent audits are bit-identical,
-    /// just cold.
+    /// Drop every retained audit configuration — risk caches and
+    /// session-built priors alike. The demotion hook behind the serving
+    /// hub's memory budget: every cache is rebuild-on-miss (an `Adv(b')`
+    /// model re-estimates from the current table), so subsequent audits
+    /// are bit-identical, just cold.
     pub fn evict_audit_caches(&mut self) {
         self.audits.clear();
     }
 
-    fn insert_audit_cache(
+    /// Audit the current publication through the cache under `key`, making
+    /// it most recently used. On a miss `build` makes the cache from the
+    /// session and the entry's chain base (see [`AuditKey::chains_into`]),
+    /// which leaves the cache; the least recently used entry is dropped at
+    /// [`MAX_AUDIT_CACHES`](Self::MAX_AUDIT_CACHES).
+    fn audit_keyed(
         &mut self,
         key: AuditKey,
-        session: AuditSession,
-        tracked: Option<TrackedPrior>,
-    ) {
-        if self.audits.len() >= Self::MAX_AUDIT_CACHES {
-            // The vec is kept in least-recently-used-first order by
-            // `audit_keyed`, so the front is the eviction victim.
-            self.audits.remove(0);
-        }
-        self.audits.push(AuditCache {
-            key,
-            session,
-            tracked,
-        });
-    }
-
-    fn audit_keyed(&mut self, key: AuditKey, t: f64) -> AuditReport {
-        let idx = self
-            .audits
-            .iter()
-            .position(|c| c.key == key)
-            .expect("inserted by the caller");
-        // Move the used entry to the back: LRU order for eviction.
-        let entry = self.audits.remove(idx);
-        self.audits.push(entry);
-        let idx = self.audits.len() - 1;
+        t: f64,
+        build: impl FnOnce(&Self, Option<AuditSession>) -> AuditSession,
+    ) -> AuditReport {
+        let mut entry = match self.audits.iter().position(|c| c.key == key) {
+            Some(idx) => self.audits.remove(idx),
+            None => {
+                let base = self
+                    .audits
+                    .iter()
+                    .position(|c| c.key.chains_into(key))
+                    .map(|idx| self.audits.remove(idx).session);
+                if self.audits.len() >= Self::MAX_AUDIT_CACHES {
+                    // Least-recently-used-first order: the front is the
+                    // eviction victim.
+                    self.audits.remove(0);
+                }
+                AuditCache {
+                    key,
+                    session: build(self, base),
+                }
+            }
+        };
         let groups: Vec<&[usize]> = self
             .anonymized
             .groups()
             .iter()
             .map(|g| g.rows.as_slice())
             .collect();
-        self.audits[idx]
+        let report = entry
             .session
-            .report_groups(&self.table, &groups, Some(&self.stamps), t)
-    }
-
-    /// Route `delta` through every tracked adversary model — called by
-    /// [`apply`](Self::apply) while `self.table` is still the pre-delta
-    /// table the models reflect. Each refreshed model gets a new adversary,
-    /// and its audit session moves onto it through
-    /// [`AuditSession::successor`] — the same mechanism the serving hub's
-    /// `Adv(b′)` chain uses. The risk caches key on stable prior ids: a
-    /// refresh issues fresh ids to exactly the priors it recomputes, so a
-    /// memo entry naming only surviving priors still replays bit-identical
-    /// risks, while one naming a recomputed prior can never match again.
-    /// The stamp cache does not carry (a stamp names a group's rows, not
-    /// its priors).
-    ///
-    /// The refresh is **eager** — the models track the table even through
-    /// applies that are never audited. That keeps every audit's cost
-    /// audit-shaped (no deferred estimation debt suddenly coming due) at
-    /// the price of dirty-neighborhood recomputation per apply per tracked
-    /// bandwidth; sessions that audit rarely and want apply at its minimum
-    /// cost should use externally supplied auditors instead.
-    fn refresh_tracked_priors(&mut self, delta: &Delta) {
-        if !self.audits.iter().any(|c| c.tracked.is_some()) {
-            return;
-        }
-        let (table, parallelism) = (&self.table, self.parallelism);
-        self.audits = std::mem::take(&mut self.audits)
-            .into_iter()
-            .map(|mut cache| {
-                let Some(tracked) = cache.tracked.as_mut() else {
-                    return cache;
-                };
-                cache.session = cache.session.successor(|retired| {
-                    let measure = Arc::clone(retired.measure());
-                    let exact_below = retired.exact_below();
-                    // Release the retired adversary's hold on the model so
-                    // the refresh mutates it in place instead of cloning.
-                    drop(retired);
-                    tracked.estimator.refresh_with(
-                        Arc::make_mut(&mut tracked.model),
-                        table,
-                        delta,
-                        parallelism,
-                    );
-                    let adversary = Arc::new(Adversary::from_model(
-                        &format!("Adv({})", tracked.bandwidth),
-                        tracked.bandwidth.clone(),
-                        Arc::clone(&tracked.model),
-                    ));
-                    Auditor::new(adversary, measure).use_exact_below(exact_below)
-                });
-                cache
-            })
-            .collect();
+            .report_groups(&self.table, &groups, Some(&self.stamps), t);
+        self.audits.push(entry);
+        report
     }
 }
 
@@ -830,27 +768,42 @@ mod tests {
     fn audit_against_tracks_the_evolving_table() {
         // The staleness fix: after deltas, audit_against must measure the
         // adversary the *current* table implies — bit-identical to a fresh
-        // session opened on that table — not the model frozen at open.
+        // session opened on that table — not the model frozen at open,
+        // however many applies went by unaudited in between.
         let t = adult::generate(300, 12);
         let publisher = Publisher::new().k_anonymity(4);
         let mut session = publisher.open(&t).unwrap();
         let before = session.audit_against(0.3, 0.2);
         assert!(before.worst_case >= before.mean);
 
-        let d = delta(&t, &[5, 42, 77, 130], 8, 99);
-        session.apply(&d).unwrap();
-        let tracked = session.audit_against(0.3, 0.2);
-
-        let mut fresh = publisher.open(session.table()).unwrap();
-        let reference = fresh.audit_against(0.3, 0.2);
-        assert_eq!(tracked.worst_case.to_bits(), reference.worst_case.to_bits());
-        assert_eq!(tracked.mean.to_bits(), reference.mean.to_bits());
-        assert_eq!(tracked.vulnerable, reference.vulnerable);
-        for (a, b) in tracked.risks.iter().zip(&reference.risks) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        // Audit after applies 1, 2, 4 and 7: skipped versions in between.
+        let audited = [1usize, 2, 4, 7];
+        for step in 1..=7usize {
+            let table = session.table().clone();
+            let deletes = [5 + step, 42 + step, 77 + 2 * step, 130 + 3 * step];
+            session
+                .apply(&delta(&table, &deletes, 5, 99 + step as u64))
+                .unwrap();
+            if !audited.contains(&step) {
+                continue;
+            }
+            let tracked = session.audit_against(0.3, 0.2);
+            let mut fresh = publisher.open(session.table()).unwrap();
+            let reference = fresh.audit_against(0.3, 0.2);
+            assert_eq!(
+                tracked.worst_case.to_bits(),
+                reference.worst_case.to_bits(),
+                "step {step}"
+            );
+            assert_eq!(tracked.mean.to_bits(), reference.mean.to_bits());
+            assert_eq!(tracked.vulnerable, reference.vulnerable);
+            assert_eq!(tracked.risks.len(), reference.risks.len());
+            for (a, b) in tracked.risks.iter().zip(&reference.risks) {
+                assert_eq!(a.to_bits(), b.to_bits(), "step {step}");
+            }
+            // The chained entry is still a single cache slot.
+            assert_eq!(session.audit_cache_count(), 1);
         }
-        // The tracked entry is still a single cache slot.
-        assert_eq!(session.audit_cache_count(), 1);
     }
 
     #[test]

@@ -29,11 +29,9 @@
 //!   property-tests across kernel families and bandwidths;
 //! * compact support also makes the model **refreshable**: a change of
 //!   the table can only perturb priors inside the kernel neighborhood of
-//!   the changed QI points, so one refresh core recomputes exactly that
-//!   dirty neighborhood, bit-identical to a from-scratch estimate of the
-//!   new table. It has two front ends: [`PriorEstimator::refresh_with`]
-//!   takes a [`Delta`] against the pre-delta table, and
-//!   [`PriorEstimator::refresh_to`] takes the new table's fold and finds
+//!   the changed QI points, so [`PriorEstimator::refresh_to`] recomputes
+//!   exactly that dirty neighborhood, bit-identical to a from-scratch
+//!   estimate of the new table. It takes the new table's fold and finds
 //!   the changed points by a linear merge of the two sorted folds — so a
 //!   model can jump over any number of versions at once;
 //! * every prior carries a stable **id** ([`PriorModel::prior_entry`]):
@@ -43,7 +41,7 @@
 //!   versions and tenants — which is what lets audit memos keyed by prior
 //!   id survive a refresh.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -519,137 +517,12 @@ impl FoldedTable {
         .expect("table distribution is valid")
     }
 
-    /// Evolve the fold by one [`Delta`]. `table` must be the **pre-delta**
-    /// table this fold currently represents (deletes are row indices into
-    /// it). Returns the distinct QI combinations whose multiplicity or
-    /// histogram actually changed — the seed of the dirty kernel
-    /// neighborhood [`PriorEstimator::refresh`] recomputes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `table` is out of sync with the fold (different row
-    /// count, or a delete that the fold cannot account for), or when the
-    /// delta would empty the table ([`Table::apply_delta`] rejects the same
-    /// delta with [`DataError::EmptyTable`](bgkanon_data::DataError) — an
-    /// empty table has no sensitive distribution to estimate). The check
-    /// runs before any mutation, so a panicking fold is left intact.
-    pub fn apply_delta(&mut self, table: &Table, delta: &Delta) -> Vec<Box<[u32]>> {
-        assert_eq!(
-            table.len(),
-            self.rows,
-            "folded table is out of sync with the pre-delta table"
-        );
-        assert!(
-            self.rows + delta.insert_count() > delta.delete_count(),
-            "delta would empty the table"
-        );
-        // Net change per touched QI combination.
-        let mut touched: BTreeMap<Box<[u32]>, Vec<i64>> = BTreeMap::new();
-        for &row in delta.deletes() {
-            assert!(row < table.len(), "delete index {row} out of range");
-            let hist = touched
-                .entry(table.qi(row).into())
-                .or_insert_with(|| vec![0i64; self.m]);
-            hist[table.sensitive_value(row) as usize] -= 1;
-        }
-        for i in 0..delta.insert_count() {
-            let hist = touched
-                .entry(delta.insert_qi(i).into())
-                .or_insert_with(|| vec![0i64; self.m]);
-            hist[delta.insert_sensitive(i) as usize] += 1;
-        }
-        touched.retain(|_, hist| hist.iter().any(|&d| d != 0));
-        if touched.is_empty() {
-            return Vec::new();
-        }
-
-        // Merge the (sorted) net changes into the sorted flat arrays.
-        let d = self.qi_count;
-        let m = self.m;
-        let u_old = self.counts.len();
-        let old_qi = std::mem::replace(
-            &mut self.qi,
-            Vec::with_capacity((u_old + touched.len()) * d),
-        );
-        let old_counts =
-            std::mem::replace(&mut self.counts, Vec::with_capacity(u_old + touched.len()));
-        let old_hists = std::mem::replace(
-            &mut self.hists,
-            Vec::with_capacity((u_old + touched.len()) * m),
-        );
-        let mut scratch = vec![0u32; m];
-        let mut changes = touched.iter().peekable();
-        for i in 0..u_old {
-            let pq = &old_qi[i * d..(i + 1) * d];
-            while let Some((qi, _)) = changes.peek() {
-                if qi.as_ref() < pq {
-                    let (qi, hist) = changes.next().expect("peeked");
-                    self.insert_fresh(qi, hist);
-                } else {
-                    break;
-                }
-            }
-            match changes.peek() {
-                Some((qi, _)) if qi.as_ref() == pq => {
-                    let (_, hist) = changes.next().expect("peeked");
-                    let mut count = 0u32;
-                    for (s, &delta_s) in hist.iter().enumerate() {
-                        let c = i64::from(old_hists[i * m + s]) + delta_s;
-                        assert!(c >= 0, "folded table is out of sync: negative count");
-                        let c = u32::try_from(c).expect("count fits u32");
-                        scratch[s] = c;
-                        count += c;
-                        self.sensitive_totals[s] =
-                            (self.sensitive_totals[s] as i64 + delta_s) as u64;
-                        self.rows = (self.rows as i64 + delta_s) as usize;
-                    }
-                    if count > 0 {
-                        self.qi.extend_from_slice(pq);
-                        self.counts.push(count);
-                        self.hists.extend_from_slice(&scratch);
-                    }
-                }
-                _ => {
-                    self.qi.extend_from_slice(pq);
-                    self.counts.push(old_counts[i]);
-                    self.hists.extend_from_slice(&old_hists[i * m..(i + 1) * m]);
-                }
-            }
-        }
-        for (qi, hist) in changes {
-            self.insert_fresh(qi, hist);
-        }
-        touched.into_keys().collect()
-    }
-
-    /// Append a brand-new point from a net-change histogram (all deltas
-    /// must be non-negative — there was nothing to delete from).
-    fn insert_fresh(&mut self, qi: &[u32], hist: &[i64]) {
-        let mut count = 0u32;
-        let start = self.hists.len();
-        for (s, &delta_s) in hist.iter().enumerate() {
-            assert!(
-                delta_s >= 0,
-                "folded table is out of sync: delete of unseen point"
-            );
-            let c = u32::try_from(delta_s).expect("count fits u32");
-            self.hists.push(c);
-            count += c;
-            self.sensitive_totals[s] += u64::from(c);
-            self.rows += c as usize;
-        }
-        debug_assert!(count > 0, "net-zero change must have been filtered");
-        debug_assert_eq!(self.hists.len() - start, self.m);
-        self.qi.extend_from_slice(qi);
-        self.counts.push(count);
-    }
-
     /// The QI combinations whose multiplicity or histogram differs between
     /// this fold and `next`: points present in only one of them, and
     /// points whose histogram changed. One linear merge over the two
-    /// sorted point arrays, in ascending QI order — the same keys
-    /// [`apply_delta`](Self::apply_delta) returns for a delta that takes
-    /// this fold's table to `next`'s, however many versions lie between.
+    /// sorted point arrays, in ascending QI order — the seed of the dirty
+    /// kernel neighborhood [`PriorEstimator::refresh_to`] recomputes,
+    /// however many versions lie between the two folds.
     ///
     /// # Panics
     ///
@@ -773,7 +646,7 @@ enum CandidateSet<'a> {
 ///
 /// Holds a distribution for every distinct QI combination of the estimation
 /// table, the [`FoldedTable`] it was estimated from (making the model
-/// [refreshable](PriorModel::refresh) under table deltas), and the
+/// [refreshable](PriorEstimator::refresh_to) as the table evolves), and the
 /// bandwidth/family provenance; unseen combinations can be estimated on
 /// demand with [`PriorEstimator::estimate_at`].
 ///
@@ -880,16 +753,23 @@ impl PriorModel {
         self.family
     }
 
-    /// True when the model carries its folded table and can therefore
-    /// [`refresh`](Self::refresh) under deltas.
+    /// True when the model carries its folded table and can therefore be
+    /// refreshed ([`PriorEstimator::refresh_to`]).
     pub fn is_refreshable(&self) -> bool {
         self.folded.is_some()
     }
 
-    /// Evolve the model by one table delta, recomputing only the priors
-    /// inside the kernel neighborhood of the changed points — see
-    /// [`PriorEstimator::refresh_with`], which this delegates to with
-    /// [`Parallelism::Auto`].
+    /// Evolve the model by one table delta: fold the post-delta table and
+    /// [`PriorEstimator::refresh_to`] it under [`Parallelism::Auto`], which
+    /// recomputes only the priors inside the kernel neighborhood of the
+    /// changed points. `table` is the **pre-delta** table the model
+    /// reflects.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `delta` does not apply to `table` (see
+    /// [`Table::apply_delta`]) or `model` cannot be refreshed by
+    /// `estimator` — both checked before any mutation.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -915,7 +795,15 @@ impl PriorModel {
     /// }
     /// ```
     pub fn refresh(&mut self, estimator: &PriorEstimator, table: &Table, delta: &Delta) {
-        estimator.refresh(self, table, delta);
+        let next = table.apply_delta(delta);
+        assert!(
+            next.is_ok(),
+            "delta does not apply: {:?}",
+            next.as_ref().err()
+        );
+        if let Ok(next) = next {
+            estimator.refresh_to(self, FoldedTable::new(&next), Parallelism::Auto);
+        }
     }
 
     /// Number of distinct QI combinations covered.
@@ -1554,54 +1442,11 @@ impl PriorEstimator {
         self.query(folded, index, q, &fallback, &mut buf, &mut bits, &mut numer)
     }
 
-    /// [`refresh_with`](Self::refresh_with) under [`Parallelism::Auto`].
-    pub fn refresh(&self, model: &mut PriorModel, table: &Table, delta: &Delta) {
-        self.refresh_with(model, table, delta, Parallelism::Auto);
-    }
-
-    /// Evolve `model` by one delta against its estimation table, where
-    /// `table` is the **pre-delta** table the model currently reflects.
-    /// The changed QI points come from [`FoldedTable::apply_delta`]; the
-    /// shared refresh core then recomputes only the priors inside their
-    /// product-kernel neighborhood (under `parallelism` worker threads;
-    /// `Serial` recomputes on one thread). The result is **bit-identical**
-    /// to a from-scratch [`estimate`](Self::estimate) of the post-delta
-    /// table.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `model` was not built by this estimator's `estimate*`
-    /// path (no folded table — see [`PriorModel::is_refreshable`] — or a
-    /// different bandwidth/family), when `table`/`delta` are inconsistent
-    /// with the model's fold, or when the delta would empty the table
-    /// (checked before any mutation — see [`FoldedTable::apply_delta`]).
-    pub fn refresh_with(
-        &self,
-        model: &mut PriorModel,
-        table: &Table,
-        delta: &Delta,
-        parallelism: Parallelism,
-    ) {
-        // Checked here, before the fold is taken out of the model, so a
-        // panic leaves the model fully intact.
-        assert!(
-            table.len() + delta.insert_count() > delta.delete_count(),
-            "delta would empty the table"
-        );
-        self.assert_provenance(model);
-        let mut folded = model
-            .folded
-            .take()
-            .expect("model is not refreshable (built without a folded table)");
-        let changed = folded.apply_delta(table, delta);
-        self.recompute_dirty(model, folded, &changed, parallelism);
-    }
-
     /// Evolve `model` to the table `folded` was built from, whatever
     /// happened in between — any number of deltas, including versions the
     /// model never saw. The changed QI points come from a linear merge of
     /// the model's fold and `folded` ([`FoldedTable::changed_points`]);
-    /// the shared refresh core then recomputes only their product-kernel
+    /// the refresh core then recomputes only their product-kernel
     /// neighborhood. **Bit-identical** to
     /// [`estimate_folded`](Self::estimate_folded) of `folded`, and needs
     /// neither a delta nor the pre-delta table.
@@ -1647,12 +1492,12 @@ impl PriorEstimator {
         );
     }
 
-    /// The refresh core both front ends share: install `folded` (the new
-    /// estimation table) in `model` and recompute exactly the priors within
-    /// the (symmetric) product-kernel support of a `changed` QI point.
-    /// Priors of combinations that left the table are dropped; every
-    /// recomputed prior gets a fresh id, every other prior keeps its id and
-    /// its bits.
+    /// The refresh core behind [`refresh_to`](Self::refresh_to): install
+    /// `folded` (the new estimation table) in `model` and recompute exactly
+    /// the priors within the (symmetric) product-kernel support of a
+    /// `changed` QI point. Priors of combinations that left the table are
+    /// dropped; every recomputed prior gets a fresh id, every other prior
+    /// keeps its id and its bits.
     fn recompute_dirty(
         &self,
         model: &mut PriorModel,
@@ -1930,10 +1775,9 @@ mod tests {
             b.insert_codes(&donors.qi(r), donors.sensitive_value(r))
                 .unwrap();
         }
-        let delta = b.build();
-        est.refresh_with(&mut model, &t, &delta, Parallelism::threads(2));
+        let next = t.apply_delta(&b.build()).unwrap();
+        est.refresh_to(&mut model, FoldedTable::new(&next), Parallelism::threads(2));
 
-        let next = t.apply_delta(&delta).unwrap();
         let fresh = est.estimate(&next);
         assert_eq!(model.len(), fresh.len());
         for (qi, p) in fresh.iter() {
@@ -1961,15 +1805,17 @@ mod tests {
         );
         let mut model = est.estimate(&t);
         let before = model.clone();
-        est.refresh(&mut model, &t, &Delta::empty(Arc::clone(t.schema())));
+        est.refresh_to(&mut model, FoldedTable::new(&t), Parallelism::Auto);
         assert_eq!(model.len(), before.len());
         for (qi, p) in before.iter() {
+            // Same bits and same id: nothing was recomputed.
             assert_eq!(p.as_slice(), model.prior(qi).unwrap().as_slice());
+            assert_eq!(before.prior_entry(qi).0, model.prior_entry(qi).0);
         }
     }
 
     #[test]
-    #[should_panic(expected = "delta would empty the table")]
+    #[should_panic(expected = "cannot refresh to an empty table")]
     fn refresh_rejects_table_emptying_delta_before_mutation() {
         let t = adult::generate(20, 3);
         let est = PriorEstimator::new(
@@ -1981,13 +1827,12 @@ mod tests {
         for r in 0..t.len() {
             b.delete(r);
         }
-        // Table::apply_delta rejects the same delta with EmptyTable.
+        // Table::apply_delta rejects the same delta with EmptyTable, so the
+        // emptied table only exists as a fold.
         assert!(t.apply_delta(&b.build()).is_err());
-        let mut b = DeltaBuilder::new(Arc::clone(t.schema()));
-        for r in 0..t.len() {
-            b.delete(r);
-        }
-        est.refresh(&mut model, &t, &b.build());
+        let empty =
+            FoldedTable::from_points(t.qi_count(), t.schema().sensitive_domain_size(), Vec::new());
+        est.refresh_to(&mut model, empty, Parallelism::Auto);
     }
 
     #[test]
@@ -2005,28 +1850,26 @@ mod tests {
             built.table_distribution().clone(),
         );
         assert!(!bare.is_refreshable());
-        est.refresh(&mut bare, &t, &Delta::empty(Arc::clone(t.schema())));
+        est.refresh_to(&mut bare, FoldedTable::new(&t), Parallelism::Auto);
     }
 
     #[test]
     fn folded_table_tracks_delta() {
+        // `changed_points` names exactly the QI combinations a delta
+        // touched with a net change, in ascending order.
         let t = adult::generate(120, 4);
-        let mut folded = FoldedTable::new(&t);
         let mut b = DeltaBuilder::new(Arc::clone(t.schema()));
         b.delete(0).delete(5);
         b.insert_codes(&t.qi(1), t.sensitive_value(1)).unwrap();
-        let delta = b.build();
-        let changed = folded.apply_delta(&t, &delta);
-        assert!(!changed.is_empty());
-        let next = t.apply_delta(&delta).unwrap();
-        let fresh = FoldedTable::new(&next);
-        assert_eq!(folded.rows(), next.len());
-        assert_eq!(folded.len(), fresh.len());
-        for (a, b) in folded.points().zip(fresh.points()) {
-            assert_eq!(a.qi(), b.qi());
-            assert_eq!(a.count(), b.count());
-            assert_eq!(a.sensitive_counts(), b.sensitive_counts());
-        }
+        let next = t.apply_delta(&b.build()).unwrap();
+        let (before, after) = (FoldedTable::new(&t), FoldedTable::new(&next));
+        assert_eq!(after.rows(), next.len());
+        let changed = before.changed_points(&after);
+        let mut touched: Vec<Box<[u32]>> = [0, 5, 1].iter().map(|&r| t.qi(r).into()).collect();
+        touched.sort();
+        touched.dedup();
+        assert_eq!(changed, touched);
+        assert!(after.changed_points(&after).is_empty());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! line-oriented text file. Models that carry their folded estimation table
 //! (anything built by `PriorEstimator::estimate*`) are written in the **v2**
 //! format, which also records the bandwidth, kernel family and folded
-//! points — so a reloaded model is [refreshable](PriorModel::refresh) under
-//! table deltas *without re-folding*:
+//! points — so a reloaded model is
+//! [refreshable](crate::PriorEstimator::refresh_to) as the table evolves,
+//! *without re-folding* its estimation table:
 //!
 //! ```text
 //! bgkanon-prior-model v2
@@ -375,7 +376,7 @@ mod tests {
     use super::*;
     use crate::bandwidth::Bandwidth;
     use crate::estimator::PriorEstimator;
-    use bgkanon_data::DeltaBuilder;
+    use bgkanon_data::{DeltaBuilder, Parallelism};
     use std::sync::Arc;
 
     fn model() -> PriorModel {
@@ -441,8 +442,9 @@ mod tests {
     #[test]
     fn reloaded_model_refreshes_without_refolding() {
         // The round-trip contract of the sparse engine: save → load →
-        // refresh(delta) must equal a from-scratch estimate of the
-        // post-delta table, bit for bit.
+        // refresh_to(new fold) must equal a from-scratch estimate of the
+        // post-delta table, bit for bit — the reloaded fold is the one the
+        // refresh diffs against, so nothing is refolded but the new table.
         let t = bgkanon_data::adult::generate(250, 4);
         let est = PriorEstimator::new(
             Arc::clone(t.schema()),
@@ -466,10 +468,10 @@ mod tests {
             b.insert_codes(&donors.qi(r), donors.sensitive_value(r))
                 .unwrap();
         }
-        let delta = b.build();
-        loaded.refresh(&est2, &t, &delta);
+        let next = t.apply_delta(&b.build()).unwrap();
+        est2.refresh_to(&mut loaded, FoldedTable::new(&next), Parallelism::Auto);
 
-        let fresh = est.estimate(&t.apply_delta(&delta).unwrap());
+        let fresh = est.estimate(&next);
         assert_eq!(loaded.len(), fresh.len());
         for (qi, p) in fresh.iter() {
             let q = loaded.prior(qi).unwrap();

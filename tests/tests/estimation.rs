@@ -2,8 +2,8 @@
 //! table, bandwidth and kernel family, the neighbor-bounded sparse engine
 //! must be **bit-identical** to the dense all-pairs reference, and a
 //! refreshed model must be bit-identical to a from-scratch estimate of the
-//! final table after **any** delta sequence — through either refresh front
-//! end, including jumps over versions the model never saw.
+//! final table after **any** delta sequence, including jumps over versions
+//! the model never saw.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -175,19 +175,18 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x0e57_1ea7);
         for step in 0..steps {
             let delta = random_delta(&table, &mut rng, 0.05, 2 + step);
-            let next = table.apply_delta(&delta);
-            let Ok(next) = next else {
+            let Ok(next) = table.apply_delta(&delta) else {
                 // The delta emptied the table — nothing left to estimate.
                 break;
             };
-            estimator.refresh_with(&mut model, &table, &delta, Parallelism::threads(2));
             table = next;
+            estimator.refresh_to(&mut model, FoldedTable::new(&table), Parallelism::threads(2));
             let fresh = estimator.estimate(&table);
             let context = format!(
                 "rows={rows} seed={seed} b={b} family={family_index} step={step}"
             );
             assert_bit_identical(&fresh, &model, &context)?;
-            // The maintained fold matches a from-scratch fold of the table.
+            // The installed fold matches a from-scratch fold of the table.
             let folded = model.folded().expect("estimate-built models refresh");
             let scratch = FoldedTable::new(&table);
             prop_assert_eq!(folded.len(), scratch.len(), "fold size: {}", &context);
@@ -342,7 +341,8 @@ fn estimate_many_is_consistent_with_model_priors() {
 #[test]
 fn refresh_to_covers_every_delta_kind_and_kernel_family() {
     // Deterministic companion of the proptest: every delta kind, a skipped
-    // version, both refresh front ends side by side, all three families.
+    // version, per-delta `PriorModel::refresh` next to the fold-driven
+    // chain, all three families.
     for family_index in 0..3 {
         let base = adult::generate(180, 31 + family_index as u64);
         let estimator = PriorEstimator::with_family(
@@ -359,13 +359,11 @@ fn refresh_to_covers_every_delta_kind_and_kernel_family() {
             let next = table
                 .apply_delta(&delta)
                 .expect("the table stays non-empty");
-            // The merge-diff finds exactly the points the delta changed.
+            // Only the no-op delta leaves the fold unchanged.
             let changed = FoldedTable::new(&table).changed_points(&FoldedTable::new(&next));
-            let mut fold = FoldedTable::new(&table);
-            assert_eq!(changed, fold.apply_delta(&table, &delta), "kind {kind}");
             assert_eq!(kind == 3, changed.is_empty(), "kind {kind}");
 
-            estimator.refresh_with(&mut by_delta, &table, &delta, Parallelism::Serial);
+            by_delta.refresh(&estimator, &table, &delta);
             table = next;
             // Version 3 is skipped by the fold-driven chain.
             if step != 3 {
@@ -373,7 +371,7 @@ fn refresh_to_covers_every_delta_kind_and_kernel_family() {
                 let reference = estimator.estimate_reference(&table);
                 let context = format!("family={family_index} step={step} kind={kind}");
                 assert_bit_identical(&reference, &by_fold, &context).expect("refresh_to");
-                assert_bit_identical(&reference, &by_delta, &context).expect("refresh_with");
+                assert_bit_identical(&reference, &by_delta, &context).expect("refresh");
             }
         }
     }
